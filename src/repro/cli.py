@@ -352,26 +352,13 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.obs.report import render_report_from_dir, summary_from_path
+    from repro.obs.report import render_report_from_dir, summary_from_dir
     from repro.store.db import is_store_path
 
     out_dir = Path(args.dir)
     if is_store_path(str(out_dir)):
-        from repro.store import StoreError
-        from repro.store.queries import render_report_from_store
-
-        try:
-            if args.format == "json":
-                print(json.dumps(
-                    summary_from_path(str(out_dir), run=args.run),
-                    indent=2, sort_keys=True,
-                ))
-            else:
-                print(render_report_from_store(str(out_dir), run=args.run))
-        except StoreError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        return 0
+        return cmd_store_report(argparse.Namespace(
+            store=str(out_dir), run=args.run, format=args.format))
     if not out_dir.is_dir():
         print(f"no such telemetry directory: {out_dir}", file=sys.stderr)
         return 2
@@ -380,7 +367,7 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
               "directories", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps(summary_from_path(str(out_dir)), indent=2,
+        print(json.dumps(summary_from_dir(str(out_dir)), indent=2,
                          sort_keys=True))
     else:
         print(render_report_from_dir(out_dir))
@@ -943,7 +930,7 @@ def cmd_store_query(args: argparse.Namespace) -> int:
 
 
 def cmd_store_report(args: argparse.Namespace) -> int:
-    """``repro store report``: the obs report, served from rollups."""
+    """``repro store report`` (and ``obs report`` on a store path)."""
     import json
 
     from repro.store import StoreError, summary_from_store

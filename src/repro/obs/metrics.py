@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -36,6 +36,7 @@ __all__ = [
     "NullMetricsRegistry",
     "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
+    "merge_snapshots",
     "quantile_from_snapshot",
 ]
 
@@ -201,6 +202,79 @@ def quantile_from_snapshot(snapshot: dict, q: float) -> float:
                 return min(max(bounds[i], lo), hi)
             return hi if hi < float("inf") else float("nan")
     return hi if hi < float("inf") else float("nan")
+
+
+def merge_snapshots(snapshots: Iterable[dict], *, gauges: str,
+                    warnings: Optional[List[str]]) -> dict:
+    """Fold registry snapshots, in the order given, into one snapshot.
+
+    Counters sum; histograms merge bucket-wise (min/max ignore
+    ``None``).  Float results depend on the order, so callers pass a
+    canonical one: shard-id order for shards, cell-id order for cells.
+
+    * ``gauges="sum"``: the snapshots *partition* the state (shards own
+      disjoint zones).  ``gauges="mean"``: they *replicate* a run
+      (sweep cells); a gauge averages over the snapshots holding it.
+    * ``warnings=None``: bucket bounds are trusted (compiled in), so a
+      histogram whose bounds differ from the first snapshot's raises
+      ValueError.  A list: the mismatch is appended to it, and only
+      count/sum/min/max fold into the first layout.
+    """
+    if gauges not in ("sum", "mean"):
+        raise ValueError(f"gauges must be 'sum' or 'mean', not {gauges!r}")
+    counters: Dict[str, float] = {}
+    gauge_sums: Dict[str, float] = {}
+    gauge_counts: Dict[str, int] = {}
+    histograms: Dict[str, dict] = {}
+    for snap in snapshots:
+        for name, value in (snap.get("counters") or {}).items():
+            counters[name] = counters.get(name, 0.0) + float(value)
+        for name, value in (snap.get("gauges") or {}).items():
+            gauge_sums[name] = gauge_sums.get(name, 0.0) + float(value)
+            gauge_counts[name] = gauge_counts.get(name, 0) + 1
+        for name, hist in (snap.get("histograms") or {}).items():
+            merged = histograms.get(name)
+            if merged is None:
+                histograms[name] = {
+                    "buckets": list(hist.get("buckets", [])),
+                    "counts": list(hist.get("counts", [])),
+                    "count": int(hist.get("count", 0)),
+                    "sum": float(hist.get("sum", 0.0)),
+                    "min": hist.get("min"),
+                    "max": hist.get("max"),
+                }
+                continue
+            if list(hist.get("buckets", [])) == merged["buckets"]:
+                counts = hist.get("counts", [])
+                merged["counts"] = [
+                    a + b for a, b in zip(merged["counts"], counts)
+                ] if merged["counts"] else list(counts)
+            elif warnings is None:
+                raise ValueError(
+                    f"histogram {name!r}: bucket bounds differ across "
+                    "snapshots"
+                )
+            else:
+                warnings.append(
+                    f"histogram {name}: bucket layouts differ across "
+                    "cells; bucket detail kept from the first cell only"
+                )
+            merged["count"] += int(hist.get("count", 0))
+            merged["sum"] += float(hist.get("sum", 0.0))
+            for key, pick in (("min", min), ("max", max)):
+                value = hist.get(key)
+                if value is not None:
+                    merged[key] = value if merged[key] is None else pick(
+                        merged[key], value
+                    )
+    if gauges == "mean":
+        gauge_sums = {name: gauge_sums[name] / gauge_counts[name]
+                      for name in gauge_sums}
+    return {
+        "counters": {k: counters[k] for k in sorted(counters)},
+        "gauges": {k: gauge_sums[k] for k in sorted(gauge_sums)},
+        "histograms": {k: histograms[k] for k in sorted(histograms)},
+    }
 
 
 class MetricsRegistry:

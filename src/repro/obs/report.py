@@ -38,7 +38,7 @@ from repro.obs.telemetry import (
 )
 
 __all__ = [
-    "alerts_model",
+    "assemble_summary",
     "build_summary",
     "load_artifacts",
     "render_diff",
@@ -47,7 +47,6 @@ __all__ = [
     "render_report_from_dir",
     "render_summary",
     "render_watch",
-    "summarize_histogram",
     "summary_from_dir",
     "summary_from_path",
 ]
@@ -76,6 +75,16 @@ def _table(headers):
     return TextTable(headers)
 
 
+def _read_json(path: str, label: str, warnings: List[str]) -> Optional[dict]:
+    """Parse one JSON file; an unreadable one becomes a warning."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        warnings.append(f"unreadable {label}: {exc}")
+        return None
+
+
 def _synthesize_manifest(out_dir: str, warnings: List[str]) -> Optional[dict]:
     """Derive a manifest for directories that legitimately lack one.
 
@@ -87,17 +96,8 @@ def _synthesize_manifest(out_dir: str, warnings: List[str]) -> Optional[dict]:
     """
     cell_path = os.path.join(out_dir, CELL_RECORD_FILENAME)
     sweep_path = os.path.join(out_dir, SWEEP_MANIFEST_FILENAME)
-
-    def _read(path: str, label: str) -> Optional[dict]:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError) as exc:
-            warnings.append(f"unreadable {label}: {exc}")
-            return None
-
     if os.path.exists(cell_path):
-        cell = _read(cell_path, CELL_RECORD_FILENAME)
+        cell = _read_json(cell_path, CELL_RECORD_FILENAME, warnings)
         if cell is None:
             return None
         manifest = {
@@ -111,7 +111,8 @@ def _synthesize_manifest(out_dir: str, warnings: List[str]) -> Optional[dict]:
         parent = os.path.join(out_dir, os.pardir, os.pardir,
                               SWEEP_MANIFEST_FILENAME)
         if os.path.exists(parent):
-            sweep = _read(parent, f"parent {SWEEP_MANIFEST_FILENAME}")
+            sweep = _read_json(parent, f"parent {SWEEP_MANIFEST_FILENAME}",
+                               warnings)
             if sweep is not None:
                 manifest["grid"] = (sweep.get("grid") or {}).get("name")
                 manifest["grid_hash"] = sweep.get("grid_hash")
@@ -119,7 +120,7 @@ def _synthesize_manifest(out_dir: str, warnings: List[str]) -> Optional[dict]:
         return manifest
 
     if os.path.exists(sweep_path):
-        sweep = _read(sweep_path, SWEEP_MANIFEST_FILENAME)
+        sweep = _read_json(sweep_path, SWEEP_MANIFEST_FILENAME, warnings)
         if sweep is None:
             return None
         grid = sweep.get("grid") or {}
@@ -166,12 +167,7 @@ def load_artifacts(out_dir: str) -> dict:
         path = os.path.join(out_dir, filename)
         if not os.path.exists(path):
             return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError) as exc:
-            warnings.append(f"unreadable {filename}: {exc}")
-            return None
+        return _read_json(path, filename, warnings)
 
     def _jsonl_file(filename: str) -> List[dict]:
         path = os.path.join(out_dir, filename)
@@ -234,13 +230,8 @@ def _finite_or_none(value: Optional[float]) -> Optional[float]:
     return value
 
 
-def summarize_histogram(snap: dict) -> dict:
-    """One histogram snapshot -> the summary model's count/mean/pXX entry.
-
-    Shared with :mod:`repro.store.queries`, which rebuilds the same
-    entries from stored snapshots — same function, so the two paths
-    cannot round differently.
-    """
+def _summarize_histogram(snap: dict) -> dict:
+    """One histogram snapshot -> the summary model's count/mean/pXX entry."""
     count = snap.get("count", 0)
     entry = {
         "count": count,
@@ -255,13 +246,12 @@ def summarize_histogram(snap: dict) -> dict:
     return entry
 
 
-def alerts_model(alert_events: List[dict], fired: int, resolved: int) -> dict:
+def _alerts_model(alert_events: List[dict], fired: int, resolved: int) -> dict:
     """Replay alert transitions into the fired/resolved/active view.
 
-    ``alert_events`` are the ``alert.fired``/``alert.resolved`` event
-    payloads in log order; ``fired``/``resolved`` are the total counts
-    (callers already have them — from event volume here, from the
-    store's event rollups there).
+    ``alert_events`` are event payloads in log order (kinds other than
+    ``alert.fired``/``alert.resolved`` are skipped); ``fired``/
+    ``resolved`` are the total counts.
     """
     transitions: List[dict] = []
     firing: Dict[Tuple[str, str], dict] = {}
@@ -300,57 +290,76 @@ def alerts_model(alert_events: List[dict], fired: int, resolved: int) -> dict:
     }
 
 
+def assemble_summary(*, manifest: Optional[dict], metrics: dict, spans: dict,
+                     event_volume: Dict[str, int], alert_events: List[dict],
+                     n_snapshots: int, first_t: Optional[float],
+                     last_t: Optional[float], warnings: List[str]) -> dict:
+    """The one constructor of the JSON-able summary model.
+
+    It owns the model's shape (keys, histogram summaries, the ``slo.*``
+    filter, the alerts view, ``events_total``, ``events_dropped``), so
+    its two callers — :func:`build_summary` over artifact files and
+    :func:`repro.store.queries.summary_model` over rollup tables — only
+    gather inputs and cannot drift apart.  ``alert_events`` are event
+    payloads in log order (non-alert kinds are skipped);
+    ``first_t``/``last_t`` are read only when ``n_snapshots`` > 0.
+    """
+    counters: Dict[str, float] = dict(metrics.get("counters") or {})
+    gauges: Dict[str, float] = dict(metrics.get("gauges") or {})
+    histograms = metrics.get("histograms") or {}
+    snap_info: dict = {"count": n_snapshots}
+    if n_snapshots:
+        snap_info["first_t"] = first_t
+        snap_info["last_t"] = last_t
+    return {
+        "manifest": manifest,
+        "counters": counters,
+        "gauges": gauges,
+        "histograms": {
+            name: _summarize_histogram(histograms[name])
+            for name in sorted(histograms)
+        },
+        "spans": spans,
+        "events_total": sum(event_volume.values()),
+        "event_volume": event_volume,
+        "alerts": _alerts_model(
+            alert_events,
+            event_volume.get("alert.fired", 0),
+            event_volume.get("alert.resolved", 0),
+        ),
+        "slo": {
+            name: gauges[name]
+            for name in sorted(gauges) if name.startswith("slo.")
+        },
+        "snapshots": snap_info,
+        "events_dropped": int(counters.get("obs.events_dropped", 0)),
+        "warnings": list(warnings),
+    }
+
+
 def build_summary(artifacts: dict) -> dict:
     """Distill loaded artifacts into one JSON-able summary model.
 
     This is the single source both renderers consume: ``obs report``
     prints it as text, ``obs report --format json`` dumps it verbatim.
     """
-    metrics = artifacts.get("metrics") or {}
     events = artifacts.get("events") or []
-    spans = artifacts.get("spans") or {}
     snapshots = artifacts.get("snapshots") or []
-    counters: Dict[str, float] = dict(metrics.get("counters") or {})
-    gauges: Dict[str, float] = dict(metrics.get("gauges") or {})
-
-    histograms: Dict[str, dict] = {}
-    for name in sorted(metrics.get("histograms") or {}):
-        histograms[name] = summarize_histogram(metrics["histograms"][name])
-
     event_volume: Dict[str, int] = {}
     for e in events:
         kind = e.get("kind", "?")
         event_volume[kind] = event_volume.get(kind, 0) + 1
-
-    alerts = alerts_model(
-        events,
-        event_volume.get("alert.fired", 0),
-        event_volume.get("alert.resolved", 0),
+    return assemble_summary(
+        manifest=artifacts.get("manifest"),
+        metrics=artifacts.get("metrics") or {},
+        spans=artifacts.get("spans") or {},
+        event_volume=event_volume,
+        alert_events=events,
+        n_snapshots=len(snapshots),
+        first_t=snapshots[0].get("t") if snapshots else None,
+        last_t=snapshots[-1].get("t") if snapshots else None,
+        warnings=artifacts.get("warnings") or [],
     )
-
-    slo = {
-        name: gauges[name] for name in sorted(gauges) if name.startswith("slo.")
-    }
-
-    snap_info = {"count": len(snapshots)}
-    if snapshots:
-        snap_info["first_t"] = snapshots[0].get("t")
-        snap_info["last_t"] = snapshots[-1].get("t")
-
-    return {
-        "manifest": artifacts.get("manifest"),
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-        "spans": spans,
-        "events_total": len(events),
-        "event_volume": event_volume,
-        "alerts": alerts,
-        "slo": slo,
-        "snapshots": snap_info,
-        "events_dropped": int(counters.get("obs.events_dropped", 0)),
-        "warnings": list(artifacts.get("warnings") or []),
-    }
 
 
 def summary_from_dir(out_dir: str) -> dict:
@@ -652,15 +661,9 @@ def render_report(
 def render_report_from_dir(out_dir: str, title: Optional[str] = None) -> str:
     """Load artifacts from ``out_dir`` and render the report."""
     artifacts = load_artifacts(out_dir)
-    return render_report(
-        artifacts["metrics"],
-        artifacts["events"],
-        artifacts["spans"],
-        artifacts["manifest"],
-        title=title or f"telemetry report: {out_dir}",
-        snapshots=artifacts["snapshots"],
-        warnings=artifacts["warnings"],
-    )
+    return render_summary(build_summary(artifacts),
+                          recal_events=artifacts["events"],
+                          title=title or f"telemetry report: {out_dir}")
 
 
 def render_live(telemetry: Telemetry, manifest=None, title: str = "telemetry report") -> str:

@@ -27,11 +27,7 @@ from repro.serve.driver import (
     ServedClient,
     ServeSession,
 )
-from repro.serve.gateway import (
-    GatewayConfig,
-    GatewayServer,
-    aggregate_snapshots,
-)
+from repro.serve.gateway import GatewayConfig, GatewayServer
 from repro.serve.loadgen import (
     LoadgenConfig,
     LoadgenResult,
@@ -90,7 +86,6 @@ __all__ = [
     "ShardMap",
     "GatewayConfig",
     "GatewayServer",
-    "aggregate_snapshots",
     "ClusterConfig",
     "LocalCluster",
     "replay_cluster",

@@ -27,7 +27,7 @@ to the new shard start filling there, and history stays where it was —
 migrating old records would double-count them in the aggregated view.
 
 Everything here is wall-clock orchestration; determinism lives in the
-shards' WALs and :func:`~repro.serve.gateway.aggregate_snapshots`.
+shards' WALs and :func:`~repro.obs.metrics.merge_snapshots`.
 """
 
 from __future__ import annotations
@@ -44,11 +44,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.serve.driver import ServeSession
-from repro.serve.gateway import (
-    GatewayConfig,
-    GatewayServer,
-    aggregate_snapshots,
-)
+from repro.obs.metrics import merge_snapshots
+from repro.serve.gateway import GatewayConfig, GatewayServer
 from repro.serve.server import replay_wal
 from repro.serve.shardmap import ShardInfo, ShardMap
 from repro.serve.wire import WireError
@@ -388,7 +385,7 @@ class LocalCluster:
         Rendezvous hashing moves ~1/N of the zones to the newcomer; new
         reports for those zones land there, and their history stays in
         the old owners' WALs — aggregated STATS is unaffected because
-        :func:`aggregate_snapshots` sums across all shards anyway.
+        :func:`merge_snapshots` sums across all shards anyway.
         """
         assert self.shard_map is not None and self.gateway is not None
         info = await self._spawn_shard()
@@ -435,10 +432,11 @@ def replay_cluster(cluster_dir: str
 
     Reads ``cluster.json``, replays each *active* shard's WAL (retired
     WALs are skipped — their records were drained into survivors), and
-    folds the per-shard coordinator snapshots with
-    :func:`aggregate_snapshots`.  Returns ``(aggregated, per_shard)``;
-    the aggregated dict byte-compares against the gateway's live
-    STATS_REPLY ``coordinator`` section.
+    folds the per-shard coordinator snapshots exactly as the gateway's
+    STATS fan-out does (:func:`merge_snapshots`, sorted shard-id order,
+    summed gauges, strict buckets).  Returns ``(aggregated,
+    per_shard)``; the aggregated dict byte-compares against the
+    gateway's live STATS_REPLY ``coordinator`` section.
     """
     manifest_path = Path(cluster_dir) / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -448,4 +446,8 @@ def replay_cluster(cluster_dir: str
     for entry in manifest.get("shards", []):
         coordinator = replay_wal(entry["wal"])
         per_shard[entry["shard_id"]] = coordinator.metrics.snapshot()
-    return aggregate_snapshots(per_shard), per_shard
+    aggregated = merge_snapshots(
+        (per_shard[s] for s in sorted(per_shard)),
+        gauges="sum", warnings=None,
+    )
+    return aggregated, per_shard

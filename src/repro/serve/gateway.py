@@ -9,7 +9,7 @@ byte through one proxy process.  A client that sends POLL/REPORT/
 REPORT_BATCH to the gateway anyway (bootstrapping, or running with a
 stale map) gets a typed REDIRECT naming the owning shard and carrying
 the fresh map; a STATS request fans out to every live shard and returns
-one aggregated coordinator registry (see :func:`aggregate_snapshots`).
+one aggregated coordinator registry (see :meth:`GatewayServer._on_stats`).
 
 Gateway-side operational metrics live under ``cluster.*`` (sessions,
 redirects, stats fan-outs, current shard count) — the cluster analog of
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.serve.driver import ServeSession
 from repro.serve.shardmap import ShardMap
 from repro.serve.wire import (
@@ -37,68 +37,8 @@ from repro.serve.wire import (
     read_frame,
 )
 
-__all__ = ["GatewayConfig", "GatewayServer", "aggregate_snapshots"]
+__all__ = ["GatewayConfig", "GatewayServer"]
 
-
-def aggregate_snapshots(per_shard: Mapping[str, Dict[str, Any]]
-                        ) -> Dict[str, Any]:
-    """Merge per-shard coordinator registries into one cluster registry.
-
-    A deterministic pure function of its input: shards are folded in
-    sorted shard-id order, counters and gauges sum (zone ownership is
-    disjoint, so gauges like active-zone counts add), and histograms
-    with identical bucket bounds merge element-wise (counts add;
-    count/sum add; min/max combine).  Applying this to the live shards'
-    STATS snapshots and to offline per-shard WAL replays yields
-    byte-identical JSON — the cluster-level recovery guarantee rests on
-    exactly that (DESIGN.md §11).
-
-    Raises ValueError when two shards disagree on a histogram's bucket
-    bounds (they never should: bounds are compiled in).
-    """
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    histograms: Dict[str, Dict[str, Any]] = {}
-    for shard_id in sorted(per_shard):
-        snap = per_shard[shard_id]
-        for key, value in snap.get("counters", {}).items():
-            counters[key] = counters.get(key, 0) + value
-        for key, value in snap.get("gauges", {}).items():
-            gauges[key] = gauges.get(key, 0) + value
-        for key, hist in snap.get("histograms", {}).items():
-            merged = histograms.get(key)
-            if merged is None:
-                histograms[key] = {
-                    "buckets": list(hist.get("buckets", [])),
-                    "counts": list(hist.get("counts", [])),
-                    "count": hist.get("count", 0),
-                    "sum": hist.get("sum", 0.0),
-                    "min": hist.get("min"),
-                    "max": hist.get("max"),
-                }
-                continue
-            if merged["buckets"] != list(hist.get("buckets", [])):
-                raise ValueError(
-                    f"histogram {key!r}: bucket bounds differ across "
-                    "shards"
-                )
-            merged["counts"] = [
-                a + b for a, b in zip(merged["counts"],
-                                      hist.get("counts", []))
-            ]
-            merged["count"] += hist.get("count", 0)
-            merged["sum"] += hist.get("sum", 0.0)
-            mins = [m for m in (merged["min"], hist.get("min"))
-                    if m is not None]
-            maxs = [m for m in (merged["max"], hist.get("max"))
-                    if m is not None]
-            merged["min"] = min(mins) if mins else None
-            merged["max"] = max(maxs) if maxs else None
-    return {
-        "counters": {k: counters[k] for k in sorted(counters)},
-        "gauges": {k: gauges[k] for k in sorted(gauges)},
-        "histograms": {k: histograms[k] for k in sorted(histograms)},
-    }
 
 
 @dataclass(frozen=True)
@@ -252,12 +192,14 @@ class GatewayServer:
                 return
             kind = message["type"]
             if kind == "POLL":
-                self._steer(writer, self._poll_position(message),
+                self._steer(writer, self._position(message, "POLL"),
                             {"seq": message.get("seq")})
             elif kind == "REPORT":
-                self._steer(writer, self._report_position(message),
-                            {"task_id": (message.get("report") or {}
-                                         ).get("task_id")})
+                payload = message.get("report")
+                if not isinstance(payload, dict):
+                    raise ProtocolError("REPORT without a report object")
+                self._steer(writer, self._position(payload, "REPORT"),
+                            {"task_id": payload.get("task_id")})
             elif kind == "REPORT_BATCH":
                 self._steer_batch(writer, message)
             elif kind == "STATS":
@@ -278,23 +220,12 @@ class GatewayServer:
     # -- steering --------------------------------------------------------
 
     @staticmethod
-    def _poll_position(message: Dict[str, Any]):
-        """(lat, lon) of a POLL frame (typed error when malformed)."""
+    def _position(obj: Dict[str, Any], what: str):
+        """(lat, lon) of a POLL or report (typed error when malformed)."""
         try:
-            return float(message["lat"]), float(message["lon"])
+            return float(obj["lat"]), float(obj["lon"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed POLL payload: {exc}") from None
-
-    @staticmethod
-    def _report_position(message: Dict[str, Any]):
-        """(lat, lon) of a REPORT frame (typed error when malformed)."""
-        payload = message.get("report")
-        if not isinstance(payload, dict):
-            raise ProtocolError("REPORT without a report object")
-        try:
-            return float(payload["lat"]), float(payload["lon"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed REPORT payload: {exc}") from None
+            raise ProtocolError(f"malformed {what} payload: {exc}") from None
 
     def _steer(self, writer: asyncio.StreamWriter, position,
                extra: Dict[str, Any]) -> None:
@@ -338,11 +269,7 @@ class GatewayServer:
         first = reports[0]
         if not isinstance(first, dict):
             raise ProtocolError("REPORT_BATCH carries a non-object report")
-        try:
-            position = float(first["lat"]), float(first["lon"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed REPORT payload: {exc}") from None
-        self._steer(writer, position,
+        self._steer(writer, self._position(first, "REPORT"),
                     {"seq_lo": seq_lo,
                      "seq_hi": seq_lo + len(reports) - 1})
 
@@ -365,10 +292,13 @@ class GatewayServer:
                 #: A shard mid-death: its zones are being rebalanced;
                 #: report what is reachable rather than failing STATS.
                 self.metrics.counter("cluster.stats_shard_failures").inc()
-        aggregated = aggregate_snapshots({
-            shard_id: reply.get("coordinator", {})
-            for shard_id, reply in per_shard.items()
-        })
+        #: Shards own disjoint zones, so gauges sum; bucket bounds are
+        #: compiled in, so a mismatch raises.  ``replay_cluster`` folds
+        #: the same way, which is what lets the two byte-match.
+        aggregated = merge_snapshots(
+            (per_shard[s].get("coordinator", {}) for s in sorted(per_shard)),
+            gauges="sum", warnings=None,
+        )
         self._send(writer, {
             "type": "STATS_REPLY",
             "coordinator": aggregated,

@@ -558,50 +558,16 @@ class CoordinatorServer:
                    session.codec)
 
     def _on_report(self, session: _Session, message: Dict[str, Any]) -> None:
-        """Admit one report into the bounded ingest queue, or RETRY."""
+        """Admit one REPORT: a batch of one whose replies name its task."""
         payload = message.get("report")
         if not isinstance(payload, dict):
             raise ProtocolError("REPORT without a report object")
-        #: Parse eagerly so a malformed payload is a typed session error
-        #: rather than a poison pill inside the ingest worker; the
-        #: parsed report rides the queue so the writer never re-parses.
-        report = report_from_wire(payload)
-        redirect = self._redirect_for_zone(
-            self.coordinator.grid.zone_id_for(report.point)
-        )
-        if redirect is not None:
-            redirect["task_id"] = payload.get("task_id")
-            self.metrics.counter("serve.redirects").inc()
-            self._send(session.writer, redirect, session.codec)
-            return
-        self.metrics.counter("serve.reports_received").inc()
-        if self._ingest_pending >= self.config.ingest_queue_max:
-            self.metrics.counter("serve.backpressure_rejections").inc()
-            self._send(session.writer, {
-                "type": "RETRY",
-                "task_id": payload.get("task_id"),
-                "retry_after_s": self.config.retry_after_s,
-            }, session.codec)
-            return
-        self._ingest_pending += 1
-        self._ingest_queue.put_nowait(
-            ("one", [payload], [report], None, session.session_id,
-             time.perf_counter())
-        )
-        self.metrics.histogram(
-            "serve.ingest_queue_depth"
-        ).observe(self._ingest_pending)
+        self._admit(session, [payload], None)
 
     def _on_report_batch(
         self, session: _Session, message: Dict[str, Any]
     ) -> None:
-        """Admit a REPORT_BATCH up to the report-level budget.
-
-        The admitted prefix becomes one queue item (the writer will
-        group-commit it and answer with a single range ACK_BATCH); the
-        tail that does not fit gets one RETRY naming its seq range —
-        the client resends exactly those.
-        """
+        """Admit a REPORT_BATCH whose replies name seq ranges."""
         reports = message.get("reports")
         if not isinstance(reports, list) or not reports:
             raise ProtocolError("REPORT_BATCH without a reports list")
@@ -610,56 +576,78 @@ class CoordinatorServer:
         except (KeyError, TypeError, ValueError):
             raise ProtocolError("REPORT_BATCH without integer seq_lo") \
                 from None
+        self._admit(session, reports, seq_lo)
+
+    @staticmethod
+    def _reply_ids(payloads: List[Dict[str, Any]], seq_lo: Optional[int],
+                   offset: int = 0) -> Dict[str, Any]:
+        """The fields naming ``payloads[offset:]`` in a reply frame.
+
+        A single REPORT (``seq_lo`` None) is named by its ``task_id``;
+        a REPORT_BATCH by the ``seq_lo..seq_hi`` range.
+        """
+        if seq_lo is None:
+            return {"task_id": payloads[offset].get("task_id")}
+        return {"seq_lo": seq_lo + offset,
+                "seq_hi": seq_lo + len(payloads) - 1}
+
+    def _admit(self, session: _Session, payloads: List[Any],
+               seq_lo: Optional[int]) -> None:
+        """Admit reports up to the report-level budget.
+
+        Every report is parsed eagerly, so a malformed one is a typed
+        session error before anything from the frame is admitted; the
+        parsed reports ride the queue so the writer never re-parses.
+        The admitted prefix becomes one queue item (the writer will
+        group-commit it and answer with one ACK or ACK_BATCH); the tail
+        that does not fit gets one RETRY naming it — the client resends
+        exactly those.
+        """
         parsed = []
-        for payload in reports:
+        for payload in payloads:
             if not isinstance(payload, dict):
                 raise ProtocolError("REPORT_BATCH carries a non-object "
                                     "report")
-            #: Same eager-parse contract as single REPORTs: a malformed
-            #: report is a typed session error before anything from the
-            #: batch is admitted.  Parsed reports ride the queue so the
-            #: writer never re-parses the hot path.
             parsed.append(report_from_wire(payload))
         if self.config.shard_id and self.shard_map is not None:
             #: Ownership is all-or-nothing per frame: one foreign zone
-            #: redirects the whole batch (nothing is admitted), keeping
+            #: redirects the whole frame (nothing is admitted), keeping
             #: the ACK/WAL semantics of a frame atomic.  The client
             #: re-partitions by the carried map and resends.
             zone_of = self.coordinator.grid.zone_id_for
             for report in parsed:
                 redirect = self._redirect_for_zone(zone_of(report.point))
                 if redirect is not None:
-                    redirect["seq_lo"] = seq_lo
-                    redirect["seq_hi"] = seq_lo + len(reports) - 1
+                    redirect.update(self._reply_ids(payloads, seq_lo))
                     self.metrics.counter("serve.redirects").inc()
                     self._send(session.writer, redirect, session.codec)
                     return
-        self.metrics.counter("serve.reports_received").inc(len(reports))
-        self.metrics.counter("serve.report_batches").inc()
-        self.metrics.histogram("serve.report_batch_size").observe(
-            len(reports)
-        )
+        self.metrics.counter("serve.reports_received").inc(len(payloads))
+        if seq_lo is not None:
+            self.metrics.counter("serve.report_batches").inc()
+            self.metrics.histogram("serve.report_batch_size").observe(
+                len(payloads)
+            )
         budget = self.config.ingest_queue_max - self._ingest_pending
-        admitted = min(len(reports), max(0, budget))
+        admitted = min(len(payloads), max(0, budget))
         if admitted > 0:
             self._ingest_pending += admitted
             self._ingest_queue.put_nowait(
-                ("batch", reports[:admitted], parsed[:admitted], seq_lo,
+                (payloads[:admitted], parsed[:admitted], seq_lo,
                  session.session_id, time.perf_counter())
             )
             self.metrics.histogram(
                 "serve.ingest_queue_depth"
             ).observe(self._ingest_pending)
-        if admitted < len(reports):
+        if admitted < len(payloads):
             #: Partial (or total) rejection: one RETRY for the tail.
             self.metrics.counter("serve.backpressure_rejections").inc(
-                len(reports) - admitted
+                len(payloads) - admitted
             )
             self._send(session.writer, {
                 "type": "RETRY",
-                "seq_lo": seq_lo + admitted,
-                "seq_hi": seq_lo + len(reports) - 1,
                 "retry_after_s": self.config.retry_after_s,
+                **self._reply_ids(payloads, seq_lo, admitted),
             }, session.codec)
 
     def _on_poll(self, session: _Session, message: Dict[str, Any]) -> None:
@@ -785,18 +773,18 @@ class CoordinatorServer:
         queue = self._ingest_queue
         while True:
             items = [await queue.get()]
-            drained = len(items[0][1])
+            drained = len(items[0][0])
             while drained < cfg.commit_batch_max:
                 try:
                     item = queue.get_nowait()
                 except asyncio.QueueEmpty:
                     break
                 items.append(item)
-                drained += len(item[1])
+                drained += len(item[0])
             try:
                 #: Phase 1 — durably stage the whole drain, in order.
                 all_payloads: List[Dict[str, Any]] = []
-                for _, payloads, _, _, _, _ in items:
+                for payloads, _, _, _, _ in items:
                     all_payloads.extend(payloads)
                 if self.wal is not None:
                     wal_seqs = self.wal.append_many(all_payloads)
@@ -810,12 +798,12 @@ class CoordinatorServer:
                     wal_seqs = [None] * len(all_payloads)
                 #: Phase 2 — ingest and acknowledge, item by item.
                 cursor = 0
-                for (kind, payloads, reports, seq_lo, session_id,
+                for (payloads, reports, seq_lo, session_id,
                      received_at) in items:
                     seqs = wal_seqs[cursor:cursor + len(payloads)]
                     cursor += len(payloads)
                     self._ingest_and_ack(
-                        kind, payloads, reports, seqs, seq_lo, session_id,
+                        payloads, reports, seqs, seq_lo, session_id,
                         received_at,
                     )
             finally:
@@ -825,7 +813,6 @@ class CoordinatorServer:
 
     def _ingest_and_ack(
         self,
-        kind: str,
         payloads: List[Dict[str, Any]],
         reports: List[Any],
         wal_seqs: List[Optional[int]],
@@ -833,7 +820,11 @@ class CoordinatorServer:
         session_id: int,
         received_at: float,
     ) -> None:
-        """Fold one queue item into the coordinator and answer its ACK."""
+        """Fold one queue item into the coordinator and answer its ACK.
+
+        The reply frame is the one the request calls for: ACK for a
+        single REPORT (``seq_lo`` None), ACK_BATCH for a REPORT_BATCH.
+        """
         accepted_flags = []
         for report in reports:
             accepted = self.coordinator.ingest(report)
@@ -846,7 +837,7 @@ class CoordinatorServer:
         if session is None:
             return
         session.reports += len(payloads)
-        if kind == "one":
+        if seq_lo is None:
             ack: Dict[str, Any] = {
                 "type": "ACK",
                 "task_id": payloads[0].get("task_id"),

@@ -227,35 +227,45 @@ def recalibrate_events(conn: sqlite3.Connection, run_id: int) -> List[dict]:
     ]
 
 
+def _spans(conn: sqlite3.Connection, run_id: int) -> Dict[str, Any]:
+    """The stored span snapshots, keyed and sorted by span key."""
+    return {
+        key: json.loads(snap) for key, snap in conn.execute(
+            "SELECT key, snap_json FROM spans WHERE run_id = ? ORDER BY key",
+            (run_id,),
+        )
+    }
+
+
+def _snapshot_stats(conn: sqlite3.Connection,
+                    run_id: int) -> Optional[Tuple[Any, ...]]:
+    """``(count, first_t_json, last_t_json)``, or None if never stored."""
+    return conn.execute(
+        "SELECT count, first_t_json, last_t_json FROM snapshot_stats"
+        " WHERE run_id = ?",
+        (run_id,),
+    ).fetchone()
+
+
 def summary_model(conn: sqlite3.Connection, run: "RunInfo") -> dict:
     """Rebuild ``obs report``'s summary model from rollup tables.
 
-    Field-for-field the same model :func:`repro.obs.report.build_summary`
-    produces from artifact files — reconstructed here from the stored
-    registry snapshot, the per-kind event rollups, the alert rows, and
-    the snapshot stats, without reading the raw event log (except the
-    alert rows, which *are* the indexed subset).  Byte-identity of the
-    JSON dump is the tested contract.
+    Gathers the inputs of :func:`repro.obs.report.assemble_summary`
+    (the constructor :func:`~repro.obs.report.build_summary` also calls)
+    from the stored registry snapshot, the per-kind event rollups, the
+    alert rows, and the snapshot stats, without reading the raw event
+    log (except the alert rows, which *are* the indexed subset).
+    Byte-identity of the JSON dump with the file path is the tested
+    contract.
     """
-    from repro.obs.report import alerts_model, summarize_histogram
+    from repro.obs.report import assemble_summary
 
-    metrics = metrics_snapshot(conn, run.run_id)
-    counters: Dict[str, float] = dict(metrics["counters"])
-    gauges: Dict[str, float] = dict(metrics["gauges"])
-    histograms = {
-        name: summarize_histogram(snap)
-        for name, snap in metrics["histograms"].items()
+    event_volume = {
+        kind: int(n) for kind, n in conn.execute(
+            "SELECT kind, n FROM event_rollups WHERE run_id = ? ORDER BY kind",
+            (run.run_id,),
+        )
     }
-
-    event_volume: Dict[str, int] = {}
-    events_total = 0
-    for kind, n in conn.execute(
-        "SELECT kind, n FROM event_rollups WHERE run_id = ? ORDER BY kind",
-        (run.run_id,),
-    ):
-        event_volume[kind] = int(n)
-        events_total += int(n)
-
     alert_events = [
         json.loads(payload)
         for (payload,) in conn.execute(
@@ -263,47 +273,19 @@ def summary_model(conn: sqlite3.Connection, run: "RunInfo") -> dict:
             (run.run_id,),
         )
     ]
-    alerts = alerts_model(
-        alert_events,
-        event_volume.get("alert.fired", 0),
-        event_volume.get("alert.resolved", 0),
+    snap_row = _snapshot_stats(conn, run.run_id)
+    n_snapshots = int(snap_row[0]) if snap_row else 0
+    return assemble_summary(
+        manifest=run.manifest,
+        metrics=metrics_snapshot(conn, run.run_id),
+        spans=_spans(conn, run.run_id),
+        event_volume=event_volume,
+        alert_events=alert_events,
+        n_snapshots=n_snapshots,
+        first_t=json.loads(snap_row[1]) if n_snapshots else None,
+        last_t=json.loads(snap_row[2]) if n_snapshots else None,
+        warnings=run.warnings,
     )
-
-    spans = {
-        key: json.loads(snap)
-        for key, snap in conn.execute(
-            "SELECT key, snap_json FROM spans WHERE run_id = ? ORDER BY key",
-            (run.run_id,),
-        )
-    }
-
-    snap_row = conn.execute(
-        "SELECT count, first_t_json, last_t_json FROM snapshot_stats"
-        " WHERE run_id = ?",
-        (run.run_id,),
-    ).fetchone()
-    snap_info: dict = {"count": int(snap_row[0]) if snap_row else 0}
-    if snap_info["count"]:
-        snap_info["first_t"] = json.loads(snap_row[1])
-        snap_info["last_t"] = json.loads(snap_row[2])
-
-    return {
-        "manifest": run.manifest,
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-        "spans": spans,
-        "events_total": events_total,
-        "event_volume": event_volume,
-        "alerts": alerts,
-        "slo": {
-            name: gauges[name]
-            for name in sorted(gauges) if name.startswith("slo.")
-        },
-        "snapshots": snap_info,
-        "events_dropped": int(counters.get("obs.events_dropped", 0)),
-        "warnings": list(run.warnings),
-    }
 
 
 def summary_from_store(path: str, run: Optional[str] = None) -> dict:
@@ -468,15 +450,18 @@ def merged_metrics(conn: sqlite3.Connection,
                    runs: Sequence["RunInfo"]) -> dict:
     """Fold several stored runs' registries the sweep reducer's way.
 
-    Delegates to :func:`repro.sweep.reduce.merge_metrics` over the
-    stored snapshots in the given order — so a sweep imported cell-wise
+    The reducer's :func:`~repro.obs.metrics.merge_snapshots` call over
+    the stored snapshots in the given order (averaged gauges, tolerant
+    buckets, warnings dropped) — so a sweep imported cell-wise
     re-merges to exactly what the file-based reducer wrote (the
     property-tested equivalence).
     """
-    from repro.sweep.reduce import merge_metrics
+    from repro.obs.metrics import merge_snapshots
 
-    pairs = [(r.label, metrics_snapshot(conn, r.run_id)) for r in runs]
-    return merge_metrics(pairs)
+    return merge_snapshots(
+        [metrics_snapshot(conn, r.run_id) for r in runs],
+        gauges="mean", warnings=[],
+    )
 
 
 #: Manifest keys recording *how* a run executed rather than *what* it
@@ -532,11 +517,7 @@ def logical_dump(conn: sqlite3.Connection) -> dict:
                 (rid,),
             )
         ]
-        snap_row = conn.execute(
-            "SELECT count, first_t_json, last_t_json FROM snapshot_stats"
-            " WHERE run_id = ?",
-            (rid,),
-        ).fetchone()
+        snap_row = _snapshot_stats(conn, rid)
         manifest = run.manifest
         if manifest is not None:
             manifest = {k: v for k, v in manifest.items()
@@ -548,13 +529,7 @@ def logical_dump(conn: sqlite3.Connection) -> dict:
             "manifest": manifest,
             "warnings": run.warnings,
             "metrics": metrics_snapshot(conn, rid),
-            "spans": {
-                key: json.loads(snap) for key, snap in conn.execute(
-                    "SELECT key, snap_json FROM spans WHERE run_id = ?"
-                    " ORDER BY key",
-                    (rid,),
-                )
-            },
+            "spans": _spans(conn, rid),
             "samples": samples,
             "rollups": rollups,
             "events": events,

@@ -23,15 +23,16 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.obs.metrics import merge_snapshots
 from repro.sweep.grid import (
     CELL_FILENAME,
     CELLS_DIRNAME,
     SUMMARY_FILENAME,
 )
 
-__all__ = ["merge_cells", "load_summary", "merge_metrics", "MergeResult"]
+__all__ = ["merge_cells", "load_summary", "MergeResult"]
 
 METRICS_FILENAME = "metrics.json"
 
@@ -78,75 +79,6 @@ def _load_cell_records(out_dir: str, result: MergeResult) -> List[dict]:
     return records
 
 
-def _merge_histograms(acc: Dict[str, dict], name: str, snap: dict,
-                      result: MergeResult) -> None:
-    if name not in acc:
-        acc[name] = {
-            "buckets": list(snap.get("buckets", [])),
-            "counts": list(snap.get("counts", [])),
-            "count": int(snap.get("count", 0)),
-            "sum": float(snap.get("sum", 0.0)),
-            "min": snap.get("min"),
-            "max": snap.get("max"),
-        }
-        return
-    merged = acc[name]
-    if list(snap.get("buckets", [])) != merged["buckets"]:
-        # Different bucket layouts cannot be merged exactly; keep the
-        # first layout and fold only the scalar aggregates.
-        result.warnings.append(
-            f"histogram {name}: bucket layouts differ across cells; "
-            "bucket detail kept from the first cell only"
-        )
-    else:
-        counts = snap.get("counts", [])
-        merged["counts"] = [
-            a + b for a, b in zip(merged["counts"], counts)
-        ] if merged["counts"] else list(counts)
-    merged["count"] += int(snap.get("count", 0))
-    merged["sum"] += float(snap.get("sum", 0.0))
-    for key, pick in (("min", min), ("max", max)):
-        value = snap.get(key)
-        if value is None:
-            continue
-        merged[key] = value if merged[key] is None else pick(
-            merged[key], value
-        )
-
-
-def merge_metrics(cell_metrics: List[Tuple[str, dict]],
-                  result: Optional[MergeResult] = None) -> dict:
-    """Fold per-cell registry snapshots into one registry-shaped dict.
-
-    ``cell_metrics`` is a list of ``(cell_id, metrics_dict)`` pairs in
-    sorted cell-id order.  Counters sum; gauges average (sum / cells
-    observing them, folded in cell order so the float result is
-    deterministic); histograms merge bucket-wise when layouts agree.
-    """
-    result = result or MergeResult("")
-    counters: Dict[str, float] = {}
-    gauge_sums: Dict[str, float] = {}
-    gauge_counts: Dict[str, int] = {}
-    histograms: Dict[str, dict] = {}
-    for _cell_id, metrics in cell_metrics:
-        for name, value in (metrics.get("counters") or {}).items():
-            counters[name] = counters.get(name, 0.0) + float(value)
-        for name, value in (metrics.get("gauges") or {}).items():
-            gauge_sums[name] = gauge_sums.get(name, 0.0) + float(value)
-            gauge_counts[name] = gauge_counts.get(name, 0) + 1
-        for name, snap in (metrics.get("histograms") or {}).items():
-            _merge_histograms(histograms, name, snap, result)
-    gauges = {
-        name: gauge_sums[name] / gauge_counts[name]
-        for name in sorted(gauge_sums)
-    }
-    return {
-        "counters": {k: counters[k] for k in sorted(counters)},
-        "gauges": gauges,
-        "histograms": {k: histograms[k] for k in sorted(histograms)},
-    }
-
-
 def merge_cells(out_dir: str,
                 store_path: Optional[str] = None) -> MergeResult:
     """Reduce ``out_dir``'s cells into summary.jsonl + merged metrics.json.
@@ -176,7 +108,7 @@ def merge_cells(out_dir: str,
             fh.write(json.dumps(record, sort_keys=True,
                                 separators=(",", ":")) + "\n")
 
-    cell_metrics: List[Tuple[str, dict]] = []
+    cell_metrics: List[dict] = []
     for record in records:
         cell_id = record.get("cell_id", "")
         path = os.path.join(out_dir, CELLS_DIRNAME, cell_id,
@@ -185,12 +117,16 @@ def merge_cells(out_dir: str,
             continue
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                cell_metrics.append((cell_id, json.load(fh)))
+                cell_metrics.append(json.load(fh))
         except (OSError, ValueError) as exc:
             result.warnings.append(
                 f"cells/{cell_id}: unreadable {METRICS_FILENAME}: {exc}"
             )
-    merged = merge_metrics(cell_metrics, result)
+    #: Cells replicate one run, so gauges average over the cells that
+    #: observed them; cell files are untrusted, so a bucket mismatch
+    #: warns rather than raises.
+    merged = merge_snapshots(cell_metrics, gauges="mean",
+                             warnings=result.warnings)
     status_counts: Dict[str, int] = {}
     for record in records:
         status = str(record.get("status", "unknown"))

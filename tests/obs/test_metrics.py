@@ -3,6 +3,7 @@
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
+    merge_snapshots,
     quantile_from_snapshot,
 )
 
@@ -150,6 +152,30 @@ class TestRegistry:
     def test_histogram_default_buckets(self):
         h = MetricsRegistry().histogram("h")
         assert tuple(h.bounds) == tuple(DEFAULT_BUCKETS)
+
+
+class TestMergeSnapshots:
+    def test_single_snapshot_is_returned_unchanged_under_both_policies(self):
+        reg = MetricsRegistry()
+        reg.counter("c").inc(3)
+        reg.gauge("g").set(0.1)
+        for value in (0.5, 1.5, 7.0):
+            reg.histogram("h", (1.0, 2.0)).observe(value)
+        reg.histogram("empty")  # never observed: None min/max
+        snap = reg.snapshot()
+        for gauges in ("sum", "mean"):
+            for warnings in (None, []):
+                merged = merge_snapshots([snap], gauges=gauges,
+                                         warnings=warnings)
+                #: JSON equality also pins the types (3.0 vs 3).
+                assert json.dumps(merged) == json.dumps(snap)
+                h = merged["histograms"]["h"]
+                assert all(type(c) is int for c in h["counts"])
+                assert type(h["count"]) is int and type(h["sum"]) is float
+
+    def test_unknown_gauge_policy_is_refused(self):
+        with pytest.raises(ValueError):
+            merge_snapshots([], gauges="max", warnings=None)
 
 
 class TestNullRegistry:

@@ -14,12 +14,9 @@ import tempfile
 
 import pytest
 
+from repro.obs.metrics import merge_snapshots
 from repro.serve.driver import Redirected, ServeSession
-from repro.serve.gateway import (
-    GatewayConfig,
-    GatewayServer,
-    aggregate_snapshots,
-)
+from repro.serve.gateway import GatewayConfig, GatewayServer
 from repro.serve.loadgen import synthetic_report
 from repro.serve.server import CoordinatorServer, ServeConfig, replay_wal
 from repro.serve.shardmap import ShardInfo, ShardMap
@@ -54,6 +51,12 @@ def report_at(lat, lon, seq=0):
     return payload
 
 
+def shard_fold(per_shard):
+    """The gateway's STATS fold: sorted shard ids, summed gauges, strict."""
+    return merge_snapshots((per_shard[s] for s in sorted(per_shard)),
+                           gauges="sum", warnings=None)
+
+
 async def send(writer, message):
     writer.write(encode_frame(message))
     await writer.drain()
@@ -83,13 +86,17 @@ class TestShardModeRedirect:
         smap = two_shard_map()
         lat, lon = position_owned_by(smap, "shard-1")
 
+        payload = report_at(lat, lon)
+
         async def scenario(server):
             async with ServeSession("127.0.0.1", server.port,
                                     client_id="c-1",
                                     networks=["NetA"]) as session:
                 with pytest.raises(Redirected) as exc:
-                    await session.send_report(report_at(lat, lon))
+                    await session.send_report(payload)
             frame = exc.value.frame
+            assert frame["type"] == "REDIRECT"
+            assert frame["task_id"] == payload["task_id"]
             assert frame["shard_id"] == "shard-1"
             assert frame["port"] == 2
             assert frame["map_version"] == smap.version
@@ -396,16 +403,14 @@ class TestGateway:
         reply, shard_snapshot = asyncio.run(body())
         assert reply["shards_reachable"] == 1
         #: One reachable shard: the aggregate IS that shard's registry.
-        assert reply["coordinator"] == aggregate_snapshots(
-            {"shard-0": shard_snapshot}
-        )
+        assert reply["coordinator"] == shard_fold({"shard-0": shard_snapshot})
         assert reply["shards"]["shard-0"]["sessions_active"] >= 0
         assert reply["cluster"]["counters"]["cluster.stats_fanouts"] == 1
 
 
 class TestAggregateSnapshots:
     def test_counters_and_gauges_sum_across_shards(self):
-        merged = aggregate_snapshots({
+        merged = shard_fold({
             "b": {"counters": {"x": 2.0}, "gauges": {"g": 1.0},
                   "histograms": {}},
             "a": {"counters": {"x": 3.0, "y": 1.0}, "gauges": {},
@@ -420,7 +425,7 @@ class TestAggregateSnapshots:
               "sum": 4.5, "min": 0.5, "max": 3.0}
         h2 = {"buckets": [1.0, 2.0], "counts": [0, 1, 1], "count": 2,
               "sum": 3.5, "min": 1.5, "max": 9.0}
-        merged = aggregate_snapshots({
+        merged = shard_fold({
             "a": {"counters": {}, "gauges": {}, "histograms": {"h": h1}},
             "b": {"counters": {}, "gauges": {}, "histograms": {"h": h2}},
         })["histograms"]["h"]
@@ -435,7 +440,7 @@ class TestAggregateSnapshots:
                  "sum": 0.0, "min": None, "max": None}
         full = {"buckets": [1.0], "counts": [1, 0], "count": 1,
                 "sum": 0.5, "min": 0.5, "max": 0.5}
-        merged = aggregate_snapshots({
+        merged = shard_fold({
             "a": {"counters": {}, "gauges": {}, "histograms": {"h": empty}},
             "b": {"counters": {}, "gauges": {}, "histograms": {"h": full}},
         })["histograms"]["h"]
@@ -447,13 +452,13 @@ class TestAggregateSnapshots:
         h2 = {"buckets": [2.0], "counts": [0, 0], "count": 0, "sum": 0.0,
               "min": None, "max": None}
         with pytest.raises(ValueError):
-            aggregate_snapshots({
+            shard_fold({
                 "a": {"histograms": {"h": h1}},
                 "b": {"histograms": {"h": h2}},
             })
 
     def test_empty_input_yields_the_empty_shape(self):
-        assert aggregate_snapshots({}) == {
+        assert shard_fold({}) == {
             "counters": {}, "gauges": {}, "histograms": {}
         }
 
@@ -463,6 +468,6 @@ class TestAggregateSnapshots:
                        "histograms": {}}
             for i in range(8)
         }
-        a = aggregate_snapshots(shards)
-        b = aggregate_snapshots(dict(reversed(list(shards.items()))))
+        a = shard_fold(shards)
+        b = shard_fold(dict(reversed(list(shards.items()))))
         assert a == b

@@ -6,6 +6,7 @@ drives one ``asyncio.run()`` scenario end to end over loopback TCP.
 
 import asyncio
 
+from repro.geo.zones import ZoneGrid
 from repro.serve.loadgen import synthetic_report
 from repro.serve.server import (
     CoordinatorServer,
@@ -218,15 +219,40 @@ class TestSessionTraffic:
     def test_report_acked_and_ingested(self):
         async def scenario(server):
             reader, writer = await handshake(server)
-            await send(writer, {"type": "REPORT",
-                                "report": synthetic_report(0, 0)})
+            payload = synthetic_report(0, 0)
+            await send(writer, {"type": "REPORT", "report": payload})
             ack = await read_frame(reader)
-            assert ack["type"] == "ACK"
-            assert ack["accepted"] is True
+            #: The exact wire reply: no WAL here, so no sequence number.
+            assert ack == {"type": "ACK", "task_id": payload["task_id"],
+                           "seq": None, "accepted": True}
             assert server.metrics.counter("serve.reports_ingested").value == 1
             writer.close()
 
         serve_scenario(scenario)
+
+    def test_single_node_report_bins_its_zone_once(self, monkeypatch):
+        calls = []
+        bin_zone = ZoneGrid.zone_id_for
+
+        def counting(grid, point):
+            calls.append(point)
+            return bin_zone(grid, point)
+
+        monkeypatch.setattr(ZoneGrid, "zone_id_for", counting)
+
+        async def scenario(server):
+            reader, writer = await handshake(server)
+            for seq in range(3):
+                await send(writer, {"type": "REPORT",
+                                    "report": synthetic_report(0, seq)})
+                ack = await read_frame(reader)
+                assert ack["type"] == "ACK" and ack["accepted"] is True
+            writer.close()
+
+        serve_scenario(scenario)
+        #: Only coordinator ingest bins a report; single-node mode has
+        #: no ownership check to bin it first.
+        assert len(calls) == 3
 
     def test_implausible_report_is_acked_but_rejected(self):
         async def scenario(server):
@@ -252,13 +278,12 @@ class TestSessionTraffic:
             except asyncio.CancelledError:
                 pass
             reader, writer = await handshake(server)
-            await send(writer, {"type": "REPORT",
-                                "report": synthetic_report(0, 0)})
-            await send(writer, {"type": "REPORT",
-                                "report": synthetic_report(0, 1)})
+            first, second = synthetic_report(0, 0), synthetic_report(0, 1)
+            await send(writer, {"type": "REPORT", "report": first})
+            await send(writer, {"type": "REPORT", "report": second})
             retry = await read_frame(reader)
-            assert retry["type"] == "RETRY"
-            assert retry["retry_after_s"] == server.config.retry_after_s
+            assert retry == {"type": "RETRY", "task_id": second["task_id"],
+                             "retry_after_s": server.config.retry_after_s}
             assert server.metrics.counter(
                 "serve.backpressure_rejections").value == 1
             # Worker returns; the queued report drains and is ACKed.
@@ -266,7 +291,8 @@ class TestSessionTraffic:
                 server._ingest_worker()
             )
             ack = await read_frame(reader)
-            assert ack["type"] == "ACK" and ack["accepted"] is True
+            assert ack == {"type": "ACK", "task_id": first["task_id"],
+                           "seq": None, "accepted": True}
             writer.close()
 
         serve_scenario(scenario, ingest_queue_max=1)

@@ -190,17 +190,18 @@ class TestComparison:
         assert diff["counters"] == {} and diff["gauges"] == {}
 
     def test_merged_metrics_matches_reducer_fold(self, store, tmp_path):
+        from repro.obs.metrics import merge_snapshots
         from repro.obs.report import load_artifacts
-        from repro.sweep.reduce import merge_metrics
 
         out_a = write_telemetry_dir(tmp_path / "a")
         out_b = write_telemetry_dir(tmp_path / "b", with_alerts=False)
         import_telemetry_dir(store, out_a, "a")
         import_telemetry_dir(store, out_b, "b")
         runs = list_runs(store)
-        want = merge_metrics(
-            [("a", load_artifacts(out_a)["metrics"]),
-             ("b", load_artifacts(out_b)["metrics"])])
+        want = merge_snapshots(
+            [load_artifacts(out_a)["metrics"],
+             load_artifacts(out_b)["metrics"]],
+            gauges="mean", warnings=[])
         assert merged_metrics(store, runs) == want
 
     def test_logical_dump_ignores_source_paths(self, tmp_path):

@@ -3,8 +3,14 @@
 import json
 import os
 
+from repro.obs.metrics import merge_snapshots
 from repro.sweep import SweepGrid, SweepRunner, load_summary, merge_cells
-from repro.sweep.reduce import merge_metrics
+
+
+def reducer_fold(cell_metrics, warnings=None):
+    """The reducer's fold: cell order, averaged gauges, tolerant buckets."""
+    return merge_snapshots(cell_metrics, gauges="mean",
+                           warnings=[] if warnings is None else warnings)
 
 
 def _cell_dir(out, cell_id):
@@ -13,10 +19,10 @@ def _cell_dir(out, cell_id):
 
 class TestMergeMetrics:
     def test_counters_sum_and_gauges_average(self):
-        merged = merge_metrics([
-            ("a", {"counters": {"c": 1.0}, "gauges": {"g": 2.0}}),
-            ("b", {"counters": {"c": 3.0}, "gauges": {"g": 4.0}}),
-            ("c", {"counters": {"other": 5.0}, "gauges": {}}),
+        merged = reducer_fold([
+            {"counters": {"c": 1.0}, "gauges": {"g": 2.0}},
+            {"counters": {"c": 3.0}, "gauges": {"g": 4.0}},
+            {"counters": {"other": 5.0}, "gauges": {}},
         ])
         assert merged["counters"] == {"c": 4.0, "other": 5.0}
         # g averaged over the two cells that observed it, not all three.
@@ -27,8 +33,8 @@ class TestMergeMetrics:
                 "sum": 7.5, "min": 0.5, "max": 3.0}
         other = {"buckets": [1.0, 2.0], "counts": [2, 0, 1], "count": 3,
                  "sum": 3.0, "min": 0.1, "max": 2.5}
-        merged = merge_metrics([("a", {"histograms": {"h": snap}}),
-                                ("b", {"histograms": {"h": other}})])
+        merged = reducer_fold([{"histograms": {"h": snap}},
+                                {"histograms": {"h": other}}])
         h = merged["histograms"]["h"]
         assert h["counts"] == [3, 2, 4]
         assert h["count"] == 9
@@ -36,22 +42,27 @@ class TestMergeMetrics:
         assert h["min"] == 0.1 and h["max"] == 3.0
 
     def test_mismatched_buckets_warn_and_keep_scalars(self):
-        from repro.sweep.reduce import MergeResult
-
-        result = MergeResult("")
-        merged = merge_metrics(
+        warnings = []
+        merged = reducer_fold(
             [
-                ("a", {"histograms": {"h": {"buckets": [1.0],
-                                            "counts": [1, 0], "count": 1,
-                                            "sum": 0.5}}}),
-                ("b", {"histograms": {"h": {"buckets": [2.0],
-                                            "counts": [0, 1], "count": 1,
-                                            "sum": 2.5}}}),
+                {"histograms": {"h": {"buckets": [1.0], "counts": [1, 0],
+                                      "count": 1, "sum": 0.5}}},
+                {"histograms": {"h": {"buckets": [2.0], "counts": [0, 1],
+                                      "count": 1, "sum": 2.5}}},
             ],
-            result,
+            warnings,
         )
-        assert merged["histograms"]["h"]["count"] == 2
-        assert any("bucket layouts differ" in w for w in result.warnings)
+        h = merged["histograms"]["h"]
+        assert h["count"] == 2 and h["sum"] == 3.0
+        assert h["buckets"] == [1.0] and h["counts"] == [1, 0]
+        assert any("bucket layouts differ" in w for w in warnings)
+
+    def test_gauge_mean_ignores_cells_that_did_not_observe_it(self):
+        merged = reducer_fold([{"gauges": {"g": 1.0}}, {},
+                                {"gauges": {"g": 2.0}}])
+        assert merged["gauges"] == {"g": 1.5}
+        assert reducer_fold([]) == {"counters": {}, "gauges": {},
+                                     "histograms": {}}
 
 
 class TestMergeCells:
