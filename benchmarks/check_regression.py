@@ -91,7 +91,10 @@ def _metrics(entry: dict) -> Dict[str, float]:
     Per-key tolerant by design: history predating a newly tracked
     metric (e.g. runs recorded before the serve bench existed) still
     contributes a baseline for the metrics it does have, instead of
-    being discarded wholesale.
+    being discarded wholesale.  A ``null`` value -- a ratio
+    ``run_perf.py`` records as not measured because the host has too
+    few CPUs -- is skipped the same way, in the fresh run and in
+    history alike.
     """
     out: Dict[str, float] = {}
     for section, key, _direction, _noise in TRACKED:

@@ -14,9 +14,10 @@ The headline numbers (also asserted here so CI catches regressions):
 * ``udp_train_batch`` per-train cost vs the frozen per-packet
   ``udp_train_reference`` — must be >= 5x;
 * the sharded sweep over an 8-cell scheduler-ablation grid, 4 workers
-  vs serial — must be >= 2x *when the machine has >= 4 CPUs* (the
-  speedup is recorded either way, together with the CPU count), and the
-  merged artifacts must be byte-identical across worker counts;
+  vs serial — must be >= 2x *when the machine has >= 4 CPUs* (below
+  that the speedup is recorded as ``null`` with a "not measured:
+  cpu_count=N" reason, beside the raw timings), and the merged
+  artifacts must be byte-identical across worker counts;
 * the coordinator service under a 1000-client loadgen, run in both wire
   shapes: the PR-5 exchange (one JSON REPORT per frame) — recorded as
   ``serve.reports_per_s`` for history comparability — and the batched
@@ -27,9 +28,9 @@ The headline numbers (also asserted here so CI catches regressions):
   ``BENCH_perf.json``;
 * the zone-sharded cluster: the same 4-process gateway-routed loadgen
   against a 1-shard and a 3-shard cluster — 3 shards must sustain
-  >= 2.5x the 1-shard rate *when >= 8 CPUs are visible* (recorded
-  either way), with zero drops and the aggregated live-vs-replay
-  byte-compare as unconditional hard gates; the 3-shard rate is
+  >= 2.5x the 1-shard rate *when >= 8 CPUs are visible* (``null``
+  with a reason below that), with zero drops and the aggregated
+  live-vs-replay byte-compare as unconditional hard gates; the 3-shard rate is
   recorded as ``cluster.reports_per_s`` for the history guard;
 * the measurement store: 100k synthetic reports ingested with
   incremental rollups (``store.ingest_samples_per_s`` for the history
@@ -208,6 +209,32 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+#: Fewest visible CPUs on which each parallel speedup can show: 4 sweep
+#: workers need 4 cores; gateway + 3 shards + supervisor + 4 loadgen
+#: workers need ~8.
+SWEEP_MIN_CPUS = 4
+CLUSTER_MIN_CPUS = 8
+
+
+def core_bound_ratio(key, ratio, cpu_count, min_cpus):
+    """``{key: ratio}``, or ``None`` plus a reason on too few CPUs.
+
+    A parallel speedup measured on fewer cores than it has workers says
+    nothing about the code, so it is recorded as not measured (the raw
+    timings beside it are still kept) rather than as a misleading ratio.
+    """
+    if cpu_count >= min_cpus:
+        return {key: ratio}
+    return {key: None,
+            f"{key}_reason": f"not measured: cpu_count={cpu_count}"}
+
+
+def _ratio_text(section, key):
+    """``"1.23x"``, or the recorded not-measured reason."""
+    value = section[key]
+    return section[f"{key}_reason"] if value is None else f"{value:.2f}x"
+
+
 def bench_sweep():
     """Serial vs 4-worker wall clock on a compute-bound ablation grid.
 
@@ -236,13 +263,16 @@ def bench_sweep():
             Path(pooled_dir, fn).read_bytes()
             for fn in ("summary.jsonl", "metrics.json")
         )
+    cpu_count = _cpu_count()
     return {
         "cells": serial.total,
         "cells_ok": min(serial.ok, pooled.ok),
         "serial_s": serial.wall_s,
         "workers4_s": pooled.wall_s,
-        "speedup_4workers_vs_serial": serial.wall_s / pooled.wall_s,
-        "cpu_count": _cpu_count(),
+        **core_bound_ratio("speedup_4workers_vs_serial",
+                           serial.wall_s / pooled.wall_s, cpu_count,
+                           SWEEP_MIN_CPUS),
+        "cpu_count": cpu_count,
         "artifacts_byte_identical": identical,
     }
 
@@ -571,13 +601,14 @@ def bench_cluster():
 
     single = best_of(1)
     three = best_of(3)
+    cpu_count = _cpu_count()
     return {
         "workers": CLUSTER_WORKERS,
         "clients": CLUSTER_WORKERS * CLUSTER_CLIENTS_PER_WORKER,
         "reports_per_client": CLUSTER_REPORTS_PER_CLIENT,
         "batch_size": SERVE_BATCH_SIZE,
         "cluster_repeats": CLUSTER_REPEATS,
-        "cpu_count": _cpu_count(),
+        "cpu_count": cpu_count,
         "reports_acked": three["reports_acked"],
         "reports_dropped": single["reports_dropped"]
         + three["reports_dropped"],
@@ -585,8 +616,10 @@ def bench_cluster():
         #: The history-guarded headline: 3-shard cluster throughput.
         "reports_per_s": three["reports_per_s"],
         "reports_per_s_1shard": single["reports_per_s"],
-        "speedup_3shard_vs_1shard": (
-            three["reports_per_s"] / max(single["reports_per_s"], 1e-9)
+        **core_bound_ratio(
+            "speedup_3shard_vs_1shard",
+            three["reports_per_s"] / max(single["reports_per_s"], 1e-9),
+            cpu_count, CLUSTER_MIN_CPUS,
         ),
         "replay_byte_identical": (
             single["replay_byte_identical"]
@@ -834,18 +867,14 @@ def main():
             "aggregated cluster replay does not reproduce the gateway's "
             "live registry"
         )
-    if cluster["cpu_count"] >= 8:
-        if cluster["speedup_3shard_vs_1shard"] < 2.5:
-            failures.append(
-                "cluster 3-shard speedup "
-                f"{cluster['speedup_3shard_vs_1shard']:.2f}x < 2.5x "
-                f"on {cluster['cpu_count']} CPUs"
-            )
-    else:
-        print(
-            f"note: cluster scaling gate skipped — only "
-            f"{cluster['cpu_count']} CPU(s) visible "
-            f"(measured {cluster['speedup_3shard_vs_1shard']:.2f}x)"
+    if cluster["speedup_3shard_vs_1shard"] is None:
+        print("note: cluster scaling gate skipped — "
+              + cluster["speedup_3shard_vs_1shard_reason"])
+    elif cluster["speedup_3shard_vs_1shard"] < 2.5:
+        failures.append(
+            "cluster 3-shard speedup "
+            f"{cluster['speedup_3shard_vs_1shard']:.2f}x < 2.5x "
+            f"on {cluster['cpu_count']} CPUs"
         )
     # Store correctness is unconditional: the rollup tables must answer
     # the replay question byte-identically to a full refold.  The
@@ -867,18 +896,14 @@ def main():
         )
     # The parallel-speedup gate needs parallel hardware: enforce >= 2x
     # only where 4 workers can actually run concurrently.
-    if sweep["cpu_count"] >= 4:
-        if sweep["speedup_4workers_vs_serial"] < 2.0:
-            failures.append(
-                "sweep 4-worker speedup "
-                f"{sweep['speedup_4workers_vs_serial']:.2f}x < 2x "
-                f"on {sweep['cpu_count']} CPUs"
-            )
-    else:
-        print(
-            f"note: sweep speedup gate skipped — only "
-            f"{sweep['cpu_count']} CPU(s) visible "
-            f"(measured {sweep['speedup_4workers_vs_serial']:.2f}x)"
+    if sweep["speedup_4workers_vs_serial"] is None:
+        print("note: sweep speedup gate skipped — "
+              + sweep["speedup_4workers_vs_serial_reason"])
+    elif sweep["speedup_4workers_vs_serial"] < 2.0:
+        failures.append(
+            "sweep 4-worker speedup "
+            f"{sweep['speedup_4workers_vs_serial']:.2f}x < 2x "
+            f"on {sweep['cpu_count']} CPUs"
         )
     if failures:
         for f in failures:
@@ -887,14 +912,14 @@ def main():
     print(
         f"OK: link_state_batch {link['speedup_batch_vs_scalar']:.1f}x, "
         f"udp_train_batch {udp['speedup_batch_vs_reference']:.1f}x, "
-        f"sweep 4w {sweep['speedup_4workers_vs_serial']:.2f}x "
+        f"sweep 4w {_ratio_text(sweep, 'speedup_4workers_vs_serial')} "
         f"on {sweep['cpu_count']} CPU(s), "
         f"serve {serve['reports_per_s']:.0f} reports/s unbatched json, "
         f"{serve['reports_per_s_batched']:.0f} reports/s batched binary "
         f"({serve['speedup_batched_vs_unbatched']:.1f}x, "
         f"p99 ACK {serve['ack_p99_ms']:.1f} ms), "
         f"cluster {cluster['reports_per_s']:.0f} reports/s over 3 shards "
-        f"({cluster['speedup_3shard_vs_1shard']:.2f}x vs 1 shard), "
+        f"({_ratio_text(cluster, 'speedup_3shard_vs_1shard')} vs 1 shard), "
         f"store {store['ingest_samples_per_s']:.0f} samples/s ingest "
         f"(rollup query {store['speedup_query_vs_refold']:.0f}x faster "
         f"than refold)"

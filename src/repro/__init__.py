@@ -22,37 +22,41 @@ See ``examples/quickstart.py`` for the complete loop and DESIGN.md for
 the system inventory.
 """
 
-from repro.clients import (
-    ClientAgent,
-    Device,
-    DeviceCategory,
-    MeasurementReport,
-    MeasurementTask,
-    MeasurementType,
-)
-from repro.core import (
-    ChangeAlert,
-    EpochEstimate,
-    EpochEstimator,
-    MeasurementCoordinator,
-    MeasurementScheduler,
-    SampleBudgetPlanner,
-    WiScapeConfig,
-    ZoneRecord,
-    ZoneRecordStore,
-    estimate_zones,
-)
-from repro.datasets import DatasetGenerator, TraceRecord
-from repro.geo import GeoPoint, Zone, ZoneGrid
-from repro.network import MeasurementChannel
-from repro.radio import (
-    Landscape,
-    LinkState,
-    NetworkId,
-    build_landscape,
-    football_game_event,
-)
-from repro.sim import EventEngine, SimClock
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "clients": (
+        "ClientAgent",
+        "Device",
+        "DeviceCategory",
+        "MeasurementReport",
+        "MeasurementTask",
+        "MeasurementType",
+    ),
+    "core": (
+        "ChangeAlert",
+        "EpochEstimate",
+        "EpochEstimator",
+        "MeasurementCoordinator",
+        "MeasurementScheduler",
+        "SampleBudgetPlanner",
+        "WiScapeConfig",
+        "ZoneRecord",
+        "ZoneRecordStore",
+        "estimate_zones",
+    ),
+    "datasets": ("DatasetGenerator", "TraceRecord"),
+    "geo": ("GeoPoint", "Zone", "ZoneGrid"),
+    "network": ("MeasurementChannel",),
+    "radio": (
+        "Landscape",
+        "LinkState",
+        "NetworkId",
+        "build_landscape",
+        "football_game_event",
+    ),
+    "sim": ("EventEngine", "SimClock"),
+})
 
 __version__ = "1.0.0"
 

@@ -5,14 +5,18 @@ is one function call returning plain data (series, rows) plus a text
 renderer for terminal output.
 """
 
-from repro.analysis.tables import TextTable
-from repro.analysis.spots import select_representative_spot, spot_flatness
-from repro.analysis.figures import (
-    relstd_cdf_by_radius,
-    speed_latency_analysis,
-    wiscape_error_cdf,
-    zone_throughput_map,
-)
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "tables": ("TextTable",),
+    "spots": ("select_representative_spot", "spot_flatness"),
+    "figures": (
+        "relstd_cdf_by_radius",
+        "speed_latency_analysis",
+        "wiscape_error_cdf",
+        "zone_throughput_map",
+    ),
+})
 
 __all__ = [
     "TextTable",

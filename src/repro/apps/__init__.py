@@ -11,25 +11,29 @@
   alerting (Fig 10).
 """
 
-from repro.apps.webworkload import (
-    WebPage,
-    surge_page_pool,
-    website_bundle,
-    WELL_KNOWN_SITES,
-)
-from repro.apps.multisim import (
-    BestZoneSelector,
-    FixedSelector,
-    MultiSimClient,
-    RoundRobinSelector,
-    ZonePerformanceMap,
-)
-from repro.apps.mar import MarGateway, MarRunResult
-from repro.apps.operator_tools import (
-    SurgeAlert,
-    detect_latency_surges,
-    variable_zone_report,
-)
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "webworkload": (
+        "WebPage",
+        "surge_page_pool",
+        "website_bundle",
+        "WELL_KNOWN_SITES",
+    ),
+    "multisim": (
+        "BestZoneSelector",
+        "FixedSelector",
+        "MultiSimClient",
+        "RoundRobinSelector",
+        "ZonePerformanceMap",
+    ),
+    "mar": ("MarGateway", "MarRunResult"),
+    "operator_tools": (
+        "SurgeAlert",
+        "detect_latency_surges",
+        "variable_zone_report",
+    ),
+})
 
 __all__ = [
     "WebPage",

@@ -10,7 +10,11 @@ detection tripped by fading; dispersion inflated by jitter) the
 literature blames on 3G links.
 """
 
-from repro.bwest.pathload import PathloadEstimator
-from repro.bwest.wbest import WBestEstimator
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "pathload": ("PathloadEstimator",),
+    "wbest": ("WBestEstimator",),
+})
 
 __all__ = ["PathloadEstimator", "WBestEstimator"]

@@ -47,9 +47,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.radio.network import build_landscape
-from repro.radio.technology import NetworkId
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     """Attach the flags shared by every world-building subcommand."""
@@ -75,6 +72,8 @@ def package_version() -> str:
 
 def cmd_world_info(args: argparse.Namespace) -> int:
     """``repro world-info``: summarize the synthetic radio landscape."""
+    from repro.radio.network import build_landscape
+
     landscape = build_landscape(seed=args.seed)
     area = landscape.study_area
     print(f"seed {args.seed}: {len(landscape.networks)} carriers over "
@@ -108,6 +107,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     from repro.datasets.generator import DatasetGenerator
     from repro.datasets.io import write_csv, write_jsonl
     from repro.geo.regions import NEW_BRUNSWICK, madison_spot_locations
+    from repro.radio.network import build_landscape
+    from repro.radio.technology import NetworkId
 
     if args.dataset not in DATASET_CATALOG:
         print(f"unknown dataset {args.dataset!r}; options: "
@@ -149,6 +150,8 @@ def cmd_map(args: argparse.Namespace) -> int:
     from repro.analysis.maps import render_zone_map
     from repro.datasets.generator import DatasetGenerator
     from repro.geo.zones import ZoneGrid
+    from repro.radio.network import build_landscape
+    from repro.radio.technology import NetworkId
 
     landscape = build_landscape(seed=args.seed, include_road=False, include_nj=False)
     generator = DatasetGenerator(landscape, seed=args.gen_seed)
@@ -198,6 +201,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         load_rules,
         use_telemetry,
     )
+    from repro.radio.network import build_landscape
+    from repro.radio.technology import NetworkId
     from repro.sim.engine import EventEngine
 
     if args.snapshot_every is not None and args.snapshot_every <= 0:

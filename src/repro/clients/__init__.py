@@ -8,19 +8,15 @@ results tagged with a GPS fix — exactly the user-agent the paper
 envisions bundled with NIC drivers (section 3.4).
 """
 
-from repro.clients.device import (
-    Device,
-    DeviceCategory,
-    default_profile,
-)
-from repro.clients.protocol import (
-    MeasurementReport,
-    MeasurementTask,
-    MeasurementType,
-)
-from repro.clients.agent import ClientAgent
-from repro.clients.energy import EnergyMeter, RadioEnergyModel
-from repro.clients.normalize import CategoryNormalizer, CategoryObservation
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "device": ("Device", "DeviceCategory", "default_profile"),
+    "protocol": ("MeasurementReport", "MeasurementTask", "MeasurementType"),
+    "agent": ("ClientAgent",),
+    "energy": ("EnergyMeter", "RadioEnergyModel"),
+    "normalize": ("CategoryNormalizer", "CategoryObservation"),
+})
 
 __all__ = [
     "Device",

@@ -16,26 +16,26 @@ The pieces follow the paper's section 3 design flow:
 * :mod:`repro.core.dominance` — persistent network dominance (4.2.1).
 """
 
-from repro.core.config import WiScapeConfig
-from repro.core.records import (
-    ChangeAlert,
-    EpochEstimate,
-    MetricKey,
-    ZoneRecord,
-    ZoneRecordStore,
-)
-from repro.core.epochs import EpochEstimator
-from repro.core.sampling import SampleBudgetPlanner
-from repro.core.scheduler import MeasurementScheduler
-from repro.core.controller import MeasurementCoordinator
-from repro.core.estimation import ZoneEstimate, estimate_zones
-from repro.core.export import (
-    export_published,
-    load_performance_map,
-    save_published,
-)
-from repro.core.validation import ReportValidator, ValidationLimits
-from repro.core.dominance import DominanceResult, dominant_network
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "config": ("WiScapeConfig",),
+    "records": (
+        "ChangeAlert",
+        "EpochEstimate",
+        "MetricKey",
+        "ZoneRecord",
+        "ZoneRecordStore",
+    ),
+    "epochs": ("EpochEstimator",),
+    "sampling": ("SampleBudgetPlanner",),
+    "scheduler": ("MeasurementScheduler",),
+    "controller": ("MeasurementCoordinator",),
+    "estimation": ("ZoneEstimate", "estimate_zones"),
+    "export": ("export_published", "load_performance_map", "save_published"),
+    "validation": ("ReportValidator", "ValidationLimits"),
+    "dominance": ("DominanceResult", "dominant_network"),
+})
 
 __all__ = [
     "WiScapeConfig",

@@ -21,18 +21,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.clients.agent import ClientAgent
 from repro.clients.protocol import (
     MeasurementReport,
     MeasurementTask,
     MeasurementType,
 )
 from repro.core.config import WiScapeConfig
-from repro.core.epochs import EpochEstimator
 from repro.core.records import (
     ChangeAlert,
     EpochEstimate,
@@ -40,16 +37,19 @@ from repro.core.records import (
     ZoneRecord,
     ZoneRecordStore,
 )
-from repro.core.sampling import SampleBudgetPlanner
-from repro.core.scheduler import MeasurementScheduler
 from repro.core.validation import ReportValidator
 from repro.geo.zones import ZoneGrid, ZoneId
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloPolicy, SloTracker
 from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.radio.technology import NetworkId
-from repro.sim.engine import EventEngine
-from repro.sim.rng import RngStreams
+
+if TYPE_CHECKING:
+    from repro.clients.agent import ClientAgent
+    from repro.core.epochs import EpochEstimator
+    from repro.core.sampling import SampleBudgetPlanner
+    from repro.core.scheduler import MeasurementScheduler
+    from repro.sim.engine import EventEngine
 
 #: Bucket bounds for the scheduler task-probability histogram.
 _PROBABILITY_BUCKETS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
@@ -102,27 +102,7 @@ class MeasurementCoordinator:
             default_epoch_s=self.config.default_epoch_s,
             default_budget=self.config.default_sample_budget,
         )
-        streams = RngStreams(seed)
-        self.scheduler = MeasurementScheduler(
-            tick_interval_s=self.config.tick_interval_s,
-            samples_per_task={
-                MeasurementType.UDP_TRAIN: self.config.udp_packets_per_task,
-                MeasurementType.PING: self.config.ping_count_per_task,
-                MeasurementType.TCP_DOWNLOAD: 1,
-            },
-            rng=streams.get("scheduler"),
-        )
-        self.epoch_estimator = EpochEstimator(
-            min_epoch_s=self.config.min_epoch_s,
-            max_epoch_s=self.config.max_epoch_s,
-        )
-        self.budget_planner = SampleBudgetPlanner(
-            default_budget=self.config.default_sample_budget,
-            min_budget=self.config.min_sample_budget,
-            max_budget=self.config.max_sample_budget,
-            nkld_threshold=self.config.nkld_threshold,
-            seed=streams.get("planner").integers(0, 2**31),
-        )
+        self._seed = seed
         self.clients: Dict[str, ClientAgent] = {}
         self.validator = ReportValidator()
         self.alerts: List[ChangeAlert] = []
@@ -132,6 +112,53 @@ class MeasurementCoordinator:
         #: per-tick hooks only run with telemetry enabled, keeping the
         #: disabled-overhead gate honest.
         self.slo = SloTracker(slo_policy)
+
+    # -- tick machinery, built on first use ---------------------------------
+    #
+    # Only the tick reads these, and they need numpy; a coordinator that
+    # just ingests (the network service) never builds them.  Each draws
+    # from its own named stream of ``RngStreams(self._seed)``, so the
+    # draws do not depend on which is built first, or when.
+
+    @cached_property
+    def scheduler(self) -> MeasurementScheduler:
+        """Probabilistic task scheduler (the ``scheduler`` stream)."""
+        from repro.core.scheduler import MeasurementScheduler
+        from repro.sim.rng import RngStreams
+
+        return MeasurementScheduler(
+            tick_interval_s=self.config.tick_interval_s,
+            samples_per_task={
+                MeasurementType.UDP_TRAIN: self.config.udp_packets_per_task,
+                MeasurementType.PING: self.config.ping_count_per_task,
+                MeasurementType.TCP_DOWNLOAD: 1,
+            },
+            rng=RngStreams(self._seed).get("scheduler"),
+        )
+
+    @cached_property
+    def epoch_estimator(self) -> EpochEstimator:
+        """Allan-deviation epoch estimator used at recalibration."""
+        from repro.core.epochs import EpochEstimator
+
+        return EpochEstimator(
+            min_epoch_s=self.config.min_epoch_s,
+            max_epoch_s=self.config.max_epoch_s,
+        )
+
+    @cached_property
+    def budget_planner(self) -> SampleBudgetPlanner:
+        """NKLD sample-budget planner (seeded from the ``planner`` stream)."""
+        from repro.core.sampling import SampleBudgetPlanner
+        from repro.sim.rng import RngStreams
+
+        return SampleBudgetPlanner(
+            default_budget=self.config.default_sample_budget,
+            min_budget=self.config.min_sample_budget,
+            max_budget=self.config.max_sample_budget,
+            nkld_threshold=self.config.nkld_threshold,
+            seed=RngStreams(self._seed).get("planner").integers(0, 2**31),
+        )
 
     @property
     def stats(self) -> CoordinatorStats:

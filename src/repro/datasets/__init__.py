@@ -9,15 +9,14 @@ round-trip through CSV/JSONL so every analysis downstream is genuinely
 trace-driven.
 """
 
-from repro.datasets.records import TraceRecord
-from repro.datasets.io import (
-    read_csv,
-    read_jsonl,
-    write_csv,
-    write_jsonl,
-)
-from repro.datasets.generator import DatasetGenerator
-from repro.datasets.catalog import DATASET_CATALOG, DatasetSpec
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "records": ("TraceRecord",),
+    "io": ("read_csv", "read_jsonl", "write_csv", "write_jsonl"),
+    "generator": ("DatasetGenerator",),
+    "catalog": ("DATASET_CATALOG", "DatasetSpec"),
+})
 
 __all__ = [
     "TraceRecord",

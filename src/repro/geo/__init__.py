@@ -9,27 +9,31 @@ regions that stand in for Madison WI, the Madison-Chicago road stretch,
 and the New Jersey spot locations.
 """
 
-from repro.geo.coords import (
-    EARTH_RADIUS_M,
-    GeoPoint,
-    LocalProjection,
-    destination_point,
-    haversine_m,
-    initial_bearing_deg,
-    interpolate,
-    path_length_m,
-    resample_path,
-)
-from repro.geo.regions import (
-    Region,
-    RoadStretch,
-    StudyArea,
-    madison_study_area,
-    madison_chicago_road,
-    new_jersey_spots,
-    short_segment_road,
-)
-from repro.geo.zones import Zone, ZoneGrid, ZoneId
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "coords": (
+        "EARTH_RADIUS_M",
+        "GeoPoint",
+        "LocalProjection",
+        "destination_point",
+        "haversine_m",
+        "initial_bearing_deg",
+        "interpolate",
+        "path_length_m",
+        "resample_path",
+    ),
+    "regions": (
+        "Region",
+        "RoadStretch",
+        "StudyArea",
+        "madison_study_area",
+        "madison_chicago_road",
+        "new_jersey_spots",
+        "short_segment_road",
+    ),
+    "zones": ("Zone", "ZoneGrid", "ZoneId"),
+})
 
 __all__ = [
     "EARTH_RADIUS_M",

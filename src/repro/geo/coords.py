@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -68,6 +69,8 @@ def haversine_m_batch(lat1, lon1, lat2, lon2) -> np.ndarray:
     Same formula as the scalar reference, so batch and scalar code paths
     agree to floating-point noise.
     """
+    import numpy as np
+
     phi1 = np.radians(np.asarray(lat1, dtype=float))
     phi2 = np.radians(np.asarray(lat2, dtype=float))
     dphi = np.radians(np.asarray(lat2, dtype=float) - np.asarray(lat1, dtype=float))
@@ -178,6 +181,8 @@ class LocalProjection:
 
     def to_xy_batch(self, lat, lon) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`to_xy` over degree arrays."""
+        import numpy as np
+
         lat = np.asarray(lat, dtype=float)
         lon = np.asarray(lon, dtype=float)
         x = np.radians(lon - self.origin.lon) * EARTH_RADIUS_M * self._cos_lat
@@ -186,6 +191,8 @@ class LocalProjection:
 
     def to_geo_batch(self, x, y) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`to_geo`; returns (lat, lon) degree arrays."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         lat = self.origin.lat + np.degrees(y / EARTH_RADIUS_M)

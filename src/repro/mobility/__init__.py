@@ -8,20 +8,19 @@ sampling patterns: where a client is at time t, how fast it is moving,
 and what its GPS reports.
 """
 
-from repro.mobility.models import (
-    MovementModel,
-    ProximateLoop,
-    RouteFollower,
-    StaticPosition,
-)
-from repro.mobility.routes import Route, city_bus_routes
-from repro.mobility.vehicles import (
-    Car,
-    IntercityBus,
-    TransitBus,
-    VehicleBase,
-)
-from repro.mobility.gps import GpsFix, GpsReader
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "models": (
+        "MovementModel",
+        "ProximateLoop",
+        "RouteFollower",
+        "StaticPosition",
+    ),
+    "routes": ("Route", "city_bus_routes"),
+    "vehicles": ("Car", "IntercityBus", "TransitBus", "VehicleBase"),
+    "gps": ("GpsFix", "GpsReader"),
+})
 
 __all__ = [
     "MovementModel",

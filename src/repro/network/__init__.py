@@ -9,19 +9,18 @@ throughput / loss / RFC 3393 jitter estimators run the same arithmetic
 they would on a real packet trace.
 """
 
-from repro.network.packet import PacketRecord
-from repro.network.metrics import (
-    goodput_bps,
-    ipdv_jitter_s,
-    loss_rate,
-    summarize_rtts,
-)
-from repro.network.channel import (
-    MeasurementChannel,
-    PingResult,
-    TcpDownloadResult,
-    UdpTrainResult,
-)
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "packet": ("PacketRecord",),
+    "metrics": ("goodput_bps", "ipdv_jitter_s", "loss_rate", "summarize_rtts"),
+    "channel": (
+        "MeasurementChannel",
+        "PingResult",
+        "TcpDownloadResult",
+        "UdpTrainResult",
+    ),
+})
 
 __all__ = [
     "PacketRecord",

@@ -26,62 +26,66 @@ Typical use::
     print(obs.render_report_from_dir("out/"))
 """
 
-from repro.obs.alerts import AlertEngine, AlertRule, load_rules, parse_rules
-from repro.obs.events import (
-    DEFAULT_CAPACITY,
-    NULL_EVENT_LOG,
-    SCHEMA_VERSION,
-    EventLog,
-    NullEventLog,
-    read_events,
-    read_jsonl_tolerant,
-)
-from repro.obs.exposition import (
-    PROM_FILENAME,
-    MetricsHTTPServer,
-    PromFileWriter,
-    render_prometheus,
-)
-from repro.obs.manifest import RunManifest, config_hash
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    quantile_from_snapshot,
-)
-from repro.obs.report import (
-    build_summary,
-    load_artifacts,
-    render_diff,
-    render_live,
-    render_report,
-    render_report_from_dir,
-    render_watch,
-    summary_from_dir,
-)
-from repro.obs.slo import SloPolicy, SloTracker, default_slo_rules
-from repro.obs.snapshots import (
-    SNAPSHOT_SCHEMA_VERSION,
-    SNAPSHOTS_FILENAME,
-    SnapshotStreamer,
-    read_snapshots,
-)
-from repro.obs.telemetry import (
-    EVENTS_FILENAME,
-    MANIFEST_FILENAME,
-    METRICS_FILENAME,
-    NULL_TELEMETRY,
-    SPANS_FILENAME,
-    Telemetry,
-    get_telemetry,
-    set_telemetry,
-    use_telemetry,
-)
-from repro.obs.tracing import NULL_TRACER, NullTracer, SpanStats, SpanTracer
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "alerts": ("AlertEngine", "AlertRule", "load_rules", "parse_rules"),
+    "events": (
+        "DEFAULT_CAPACITY",
+        "NULL_EVENT_LOG",
+        "SCHEMA_VERSION",
+        "EventLog",
+        "NullEventLog",
+        "read_events",
+        "read_jsonl_tolerant",
+    ),
+    "exposition": (
+        "PROM_FILENAME",
+        "MetricsHTTPServer",
+        "PromFileWriter",
+        "render_prometheus",
+    ),
+    "manifest": ("RunManifest", "config_hash"),
+    "metrics": (
+        "DEFAULT_BUCKETS",
+        "NULL_REGISTRY",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "NullMetricsRegistry",
+        "quantile_from_snapshot",
+    ),
+    "report": (
+        "build_summary",
+        "load_artifacts",
+        "render_diff",
+        "render_live",
+        "render_report",
+        "render_report_from_dir",
+        "render_watch",
+        "summary_from_dir",
+    ),
+    "slo": ("SloPolicy", "SloTracker", "default_slo_rules"),
+    "snapshots": (
+        "SNAPSHOT_SCHEMA_VERSION",
+        "SNAPSHOTS_FILENAME",
+        "SnapshotStreamer",
+        "read_snapshots",
+    ),
+    "telemetry": (
+        "EVENTS_FILENAME",
+        "MANIFEST_FILENAME",
+        "METRICS_FILENAME",
+        "NULL_TELEMETRY",
+        "SPANS_FILENAME",
+        "Telemetry",
+        "get_telemetry",
+        "set_telemetry",
+        "use_telemetry",
+    ),
+    "tracing": ("NULL_TRACER", "NullTracer", "SpanStats", "SpanTracer"),
+})
 
 __all__ = [
     "Counter",

@@ -16,23 +16,22 @@ reproduce the *statistics* the paper reports:
 * persistent-failure zones used for the operator-alert analysis (Fig 9).
 """
 
-from repro.radio.technology import (
-    EVDO_REV_A,
-    HSPA,
-    NetworkId,
-    RadioTechnology,
-)
-from repro.radio.basestation import BaseStation, place_base_stations
-from repro.radio.field import SpatialField
-from repro.radio.temporal import TemporalProcess, TemporalParams
-from repro.radio.events import LoadEvent, football_game_event
-from repro.radio.network import (
-    CellularNetwork,
-    Landscape,
-    LinkState,
-    NetworkParams,
-    build_landscape,
-)
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "technology": ("EVDO_REV_A", "HSPA", "NetworkId", "RadioTechnology"),
+    "basestation": ("BaseStation", "place_base_stations"),
+    "field": ("SpatialField",),
+    "temporal": ("TemporalProcess", "TemporalParams"),
+    "events": ("LoadEvent", "football_game_event"),
+    "network": (
+        "CellularNetwork",
+        "Landscape",
+        "LinkState",
+        "NetworkParams",
+        "build_landscape",
+    ),
+})
 
 __all__ = [
     "EVDO_REV_A",

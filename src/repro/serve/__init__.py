@@ -20,41 +20,40 @@ Nothing here is imported by the simulation path — goldens are
 bit-identical when the service is unused.
 """
 
-from repro.serve.cluster import ClusterConfig, LocalCluster, replay_cluster
-from repro.serve.driver import (
-    DriverStats,
-    Redirected,
-    ServedClient,
-    ServeSession,
-)
-from repro.serve.gateway import GatewayConfig, GatewayServer
-from repro.serve.loadgen import (
-    LoadgenConfig,
-    LoadgenResult,
-    run_loadgen,
-    run_loadgen_sync,
-)
-from repro.serve.server import (
-    CoordinatorServer,
-    ServeConfig,
-    build_coordinator,
-    install_uvloop,
-    replay_wal,
-)
-from repro.serve.shardmap import ShardInfo, ShardMap
-from repro.serve.wal import WalCorruptionError, WriteAheadLog
-from repro.serve.wire import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    FrameTooLargeError,
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    SUPPORTED_CODECS,
-    TruncatedFrameError,
-    VersionMismatchError,
-    WireError,
-)
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "cluster": ("ClusterConfig", "LocalCluster", "replay_cluster"),
+    "driver": ("DriverStats", "Redirected", "ServedClient", "ServeSession"),
+    "gateway": ("GatewayConfig", "GatewayServer"),
+    "loadgen": (
+        "LoadgenConfig",
+        "LoadgenResult",
+        "run_loadgen",
+        "run_loadgen_sync",
+    ),
+    "server": (
+        "CoordinatorServer",
+        "ServeConfig",
+        "build_coordinator",
+        "install_uvloop",
+        "replay_wal",
+    ),
+    "shardmap": ("ShardInfo", "ShardMap"),
+    "wal": ("WalCorruptionError", "WriteAheadLog"),
+    "wire": (
+        "CODEC_BINARY",
+        "CODEC_JSON",
+        "FrameTooLargeError",
+        "MAX_FRAME_BYTES",
+        "PROTOCOL_VERSION",
+        "ProtocolError",
+        "SUPPORTED_CODECS",
+        "TruncatedFrameError",
+        "VersionMismatchError",
+        "WireError",
+    ),
+})
 
 __all__ = [
     "PROTOCOL_VERSION",

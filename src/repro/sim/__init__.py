@@ -6,9 +6,13 @@ discrete-event engine here, so a full year of measurement activity can be
 simulated in seconds and every run is reproducible from a single seed.
 """
 
-from repro.sim.clock import SimClock, SimTime, format_sim_time
-from repro.sim.engine import Event, EventEngine, StopSimulation
-from repro.sim.rng import RngStreams, derive_seed
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "clock": ("SimClock", "SimTime", "format_sim_time"),
+    "engine": ("Event", "EventEngine", "StopSimulation"),
+    "rng": ("RngStreams", "derive_seed"),
+})
 
 __all__ = [
     "SimClock",

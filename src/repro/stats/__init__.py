@@ -12,24 +12,25 @@
 * :mod:`repro.stats.sampling` — minimum-sample-count searches (Table 5).
 """
 
-from repro.stats.allan import (
-    allan_deviation,
-    allan_deviation_profile,
-    optimal_averaging_time,
-)
-from repro.stats.correlation import pearson_correlation
-from repro.stats.distributions import EmpiricalCDF, cdf_points
-from repro.stats.nkld import (
-    empirical_pmf,
-    entropy,
-    kl_divergence,
-    nkld,
-    nkld_from_samples,
-)
-from repro.stats.sampling import (
-    estimation_error,
-    min_samples_for_accuracy,
-)
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "allan": (
+        "allan_deviation",
+        "allan_deviation_profile",
+        "optimal_averaging_time",
+    ),
+    "correlation": ("pearson_correlation",),
+    "distributions": ("EmpiricalCDF", "cdf_points"),
+    "nkld": (
+        "empirical_pmf",
+        "entropy",
+        "kl_divergence",
+        "nkld",
+        "nkld_from_samples",
+    ),
+    "sampling": ("estimation_error", "min_samples_for_accuracy"),
+})
 
 __all__ = [
     "allan_deviation",

@@ -25,52 +25,56 @@ produces, and ``obs report --format json`` from a store byte-matches
 the JSONL path on the same run.  See DESIGN.md §12.
 """
 
-from repro.store.db import (
-    DEFAULT_STORE_FILENAME,
-    StoreError,
-    connect,
-    is_store_path,
-    resolve_store_path,
-    transaction,
-)
-from repro.store.maintenance import (
-    CompactResult,
-    RetentionPolicy,
-    apply_retention,
-    compact,
-    drop_run,
-    integrity_check,
-    store_stats,
-)
-from repro.store.queries import (
-    CoverageRow,
-    RunInfo,
-    alert_history,
-    compare_runs,
-    coverage,
-    list_runs,
-    logical_dump,
-    merged_metrics,
-    metrics_snapshot,
-    recalibrate_events,
-    render_report_from_store,
-    replay_snapshot,
-    resolve_run,
-    slo_attainment,
-    summary_from_store,
-    summary_model,
-)
-from repro.store.schema import SCHEMA_VERSION, SchemaError, apply_migrations
-from repro.store.writers import (
-    ImportResult,
-    classify_source,
-    create_run,
-    import_any,
-    import_sweep_root,
-    import_telemetry_dir,
-    import_wal,
-    ingest_reports,
-)
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "db": (
+        "DEFAULT_STORE_FILENAME",
+        "StoreError",
+        "connect",
+        "is_store_path",
+        "resolve_store_path",
+        "transaction",
+    ),
+    "maintenance": (
+        "CompactResult",
+        "RetentionPolicy",
+        "apply_retention",
+        "compact",
+        "drop_run",
+        "integrity_check",
+        "store_stats",
+    ),
+    "queries": (
+        "CoverageRow",
+        "RunInfo",
+        "alert_history",
+        "compare_runs",
+        "coverage",
+        "list_runs",
+        "logical_dump",
+        "merged_metrics",
+        "metrics_snapshot",
+        "recalibrate_events",
+        "render_report_from_store",
+        "replay_snapshot",
+        "resolve_run",
+        "slo_attainment",
+        "summary_from_store",
+        "summary_model",
+    ),
+    "schema": ("SCHEMA_VERSION", "SchemaError", "apply_migrations"),
+    "writers": (
+        "ImportResult",
+        "classify_source",
+        "create_run",
+        "import_any",
+        "import_sweep_root",
+        "import_telemetry_dir",
+        "import_wal",
+        "ingest_reports",
+    ),
+})
 
 __all__ = [
     "CompactResult",

@@ -7,26 +7,30 @@ DESIGN.md §9 for the architecture and docs/EXPERIMENTS-GUIDE.md for the
 paper-figure grids built on top of it.
 """
 
-from repro.sweep.grid import (
-    CELL_FILENAME,
-    CELLS_DIRNAME,
-    STATUS_FILENAME,
-    SUMMARY_FILENAME,
-    SWEEP_MANIFEST_FILENAME,
-    SweepCell,
-    SweepGrid,
-    SweepManifest,
-)
-from repro.sweep.reduce import MergeResult, load_summary, merge_cells
-from repro.sweep.runner import SweepResult, SweepRunner, pick_start_method
-from repro.sweep.scenarios import (
-    WorkerContext,
-    get_scenario,
-    preset_grid,
-    preset_names,
-    scenario,
-    scenario_names,
-)
+from repro._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "grid": (
+        "CELL_FILENAME",
+        "CELLS_DIRNAME",
+        "STATUS_FILENAME",
+        "SUMMARY_FILENAME",
+        "SWEEP_MANIFEST_FILENAME",
+        "SweepCell",
+        "SweepGrid",
+        "SweepManifest",
+    ),
+    "reduce": ("MergeResult", "load_summary", "merge_cells"),
+    "runner": ("SweepResult", "SweepRunner", "pick_start_method"),
+    "scenarios": (
+        "WorkerContext",
+        "get_scenario",
+        "preset_grid",
+        "preset_names",
+        "scenario",
+        "scenario_names",
+    ),
+})
 
 __all__ = [
     "SweepCell",

@@ -178,6 +178,37 @@ class TestEngineIntegration:
         assert coord.stats.ticks == 12
 
 
+class TestLazyTickMachinery:
+    """Scheduler and planner are built on first use, from named streams."""
+
+    def test_draws_do_not_depend_on_build_time(self, landscape):
+        eager = _coordinator(landscape)
+        eager_planner, eager_scheduler = eager.budget_planner, eager.scheduler
+        lazy = _coordinator(landscape)
+        anchor = landscape.study_area.anchor
+        for i in range(100):
+            lazy.ingest(_make_report(anchor, 1e6 + i, 60.0 * i))
+        assert lazy.stats.reports_ingested == 100
+        # Ingest alone builds none of the tick machinery.
+        for name in ("scheduler", "epoch_estimator", "budget_planner"):
+            assert name not in vars(lazy)
+        # Built scheduler-first here, planner-first above.
+        lazy_scheduler, lazy_planner = lazy.scheduler, lazy.budget_planner
+        assert (lazy_planner._rng.bit_generator.state
+                == eager_planner._rng.bit_generator.state)
+        first = lazy_scheduler.rng.uniform(size=8)
+        np.testing.assert_array_equal(first,
+                                      eager_scheduler.rng.uniform(size=8))
+        other = MeasurementCoordinator(eager.grid, seed=2)
+        assert not np.array_equal(other.scheduler.rng.uniform(size=8), first)
+
+    def test_built_once(self, landscape):
+        coord = _coordinator(landscape)
+        assert coord.scheduler is coord.scheduler
+        assert coord.budget_planner is coord.budget_planner
+        assert coord.epoch_estimator is coord.epoch_estimator
+
+
 class TestStatsView:
     """CoordinatorStats is a view over the metrics registry."""
 

@@ -2,7 +2,17 @@
 
 import json
 
-from benchmarks.check_regression import check, load_history, main
+from benchmarks.check_regression import (
+    PERF_PATH,
+    check,
+    load_history,
+    main,
+)
+from benchmarks.run_perf import (
+    CLUSTER_MIN_CPUS,
+    SWEEP_MIN_CPUS,
+    core_bound_ratio,
+)
 
 
 def _entry(link=30.0, udp=15.0, serve=None):
@@ -119,6 +129,49 @@ class TestCheck:
         )
         assert warnings == []
         assert failures == []
+
+
+class TestNotMeasured:
+    """Core-bound ratios a small host cannot produce are null + reason."""
+
+    def test_ratio_below_cpu_floor_is_null_with_reason(self):
+        assert core_bound_ratio("speedup", 1.4, 4, 4) == {"speedup": 1.4}
+        assert core_bound_ratio("speedup", 0.56, 1, 8) == {
+            "speedup": None,
+            "speedup_reason": "not measured: cpu_count=1",
+        }
+
+    def test_guard_accepts_null_fresh_and_history(self, tmp_path):
+        def entry(ratio, cpu_count):
+            e = _entry(serve=5000.0)
+            e["cluster"] = {"reports_per_s": 7000.0, **core_bound_ratio(
+                "speedup_3shard_vs_1shard", ratio, cpu_count,
+                CLUSTER_MIN_CPUS)}
+            # A tracked key recorded as null is skipped like a missing one.
+            e["serve"]["speedup_batched_vs_unbatched"] = None
+            return e
+
+        history = [entry(0.56, 1), entry(2.8, 8), entry(None, 1)]
+        fresh = entry(0.56, 1)
+        assert fresh["cluster"]["speedup_3shard_vs_1shard"] is None
+        assert check(fresh, history) == ([], [])
+        perf = tmp_path / "BENCH_perf.json"
+        perf.write_text(json.dumps(fresh))
+        hist = tmp_path / "BENCH_history.jsonl"
+        hist.write_text("".join(json.dumps(e) + "\n" for e in history))
+        assert main(["--perf", str(perf), "--history", str(hist)]) == 0
+
+    def test_committed_record_has_no_ratio_below_its_cpu_floor(self):
+        perf = json.loads(PERF_PATH.read_text())
+        for section, key, floor in (
+            ("sweep", "speedup_4workers_vs_serial", SWEEP_MIN_CPUS),
+            ("cluster", "speedup_3shard_vs_1shard", CLUSTER_MIN_CPUS),
+        ):
+            entry = perf[section]
+            if entry["cpu_count"] < floor:
+                assert entry[key] is None, section
+                assert entry[f"{key}_reason"] == (
+                    f"not measured: cpu_count={entry['cpu_count']}")
 
 
 class TestHistoryLoading:

@@ -49,8 +49,9 @@ def iter_module_names(package="repro"):
     root = importlib.import_module(package)
     names = {package}
     for info in pkgutil.walk_packages(root.__path__, prefix=package + "."):
-        # ``__main__`` modules execute their CLI on import.
-        if info.name.rsplit(".", 1)[-1] == "__main__":
+        # ``__main__`` modules execute their CLI on import; other
+        # underscore modules (``repro._lazy``) are not public surface.
+        if info.name.rsplit(".", 1)[-1].startswith("_"):
             continue
         names.add(info.name)
     return sorted(names)
