@@ -379,7 +379,7 @@ class MeasurementCoordinator:
         key: MetricKey = (zone_id, report.network, report.kind)
         record = self.store.get(key, report.start_s)
         samples = report.samples if report.samples else [report.value]
-        record.add_samples(list(samples), report.start_s)
+        record.add_samples(samples, report.start_s)
         record.note_measurement(report.value, report.start_s)
         self.metrics.counter("coordinator.reports_ingested").inc()
         if self.obs.enabled:

@@ -4,13 +4,19 @@ A :class:`ZoneRecord` tracks one (zone, network, metric) stream: the
 open epoch's accumulating samples, the closed-epoch estimate history,
 the zone's current epoch duration and sample budget, and the alerts the
 paper's >2-sigma change rule raises (section 3.4).
+
+Per-sample state is packed doubles (``array("d")``, 8 B a sample; a
+float object in a list costs 32 B): a served coordinator never closes
+epochs, so every sample it accepts stays here for the life of the
+process (DESIGN.md section 10).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.clients.protocol import MeasurementType
 from repro.radio.technology import NetworkId
@@ -81,15 +87,14 @@ class ZoneRecord:
         self.sample_budget = int(sample_budget)
         self.epoch_start_s = float(first_epoch_start_s)
         self.epoch_index = 0
-        self.open_samples: List[float] = []
-        self.open_sample_times: List[float] = []
+        self.open_samples = array("d")
         self.history: List[EpochEstimate] = []
         #: Per-packet sample pool retained for NKLD budget calibration.
-        self.sample_pool: List[float] = []
+        self.sample_pool = array("d")
         self.sample_pool_cap = 4000
         #: Rolling per-report series for Allan-deviation epoch selection.
-        self.series_times: List[float] = []
-        self.series_values: List[float] = []
+        self.series_times = array("d")
+        self.series_values = array("d")
         self.series_cap = 8000
         #: Estimate the coordinator currently publishes for this stream
         #: (only replaced on significant change, see section 3.4).
@@ -102,11 +107,16 @@ class ZoneRecord:
         """Samples still missing from the open epoch's budget."""
         return max(0, self.sample_budget - len(self.open_samples))
 
-    def add_samples(self, values: List[float], at_s: float) -> None:
-        """Add measurement samples to the open epoch."""
-        finite = [v for v in values if not math.isnan(v)]
+    def add_samples(self, values: Iterable[float], at_s: float) -> None:
+        """Add measurement samples to the open epoch.
+
+        NaN samples are dropped.  ``at_s`` is the report's time; samples
+        carry no timestamp of their own (the epoch is their time).
+        """
+        # NaN is the only value unequal to itself; ``v == v`` is a
+        # cheaper test than math.isnan on this per-report path.
+        finite = array("d", [v for v in values if v == v])
         self.open_samples.extend(finite)
-        self.open_sample_times.extend([at_s] * len(finite))
         room = self.sample_pool_cap - len(self.sample_pool)
         if room > 0:
             self.sample_pool.extend(finite[:room])
@@ -120,8 +130,8 @@ class ZoneRecord:
         if len(self.series_times) > self.series_cap:
             # Drop the oldest quarter in one go (amortized O(1)).
             cut = self.series_cap // 4
-            self.series_times = self.series_times[cut:]
-            self.series_values = self.series_values[cut:]
+            del self.series_times[:cut]
+            del self.series_values[:cut]
 
     def maybe_close_epoch(self, now_s: float) -> Optional[EpochEstimate]:
         """Close the epoch if its window has elapsed.
@@ -155,8 +165,7 @@ class ZoneRecord:
         skipped = int(elapsed // self.epoch_s)
         self.epoch_start_s += skipped * self.epoch_s
         self.epoch_index += skipped
-        self.open_samples = []
-        self.open_sample_times = []
+        self.open_samples = array("d")
         return estimate
 
     # -- queries -----------------------------------------------------------

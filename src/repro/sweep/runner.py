@@ -51,6 +51,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_readable
 from typing import Any, Dict, List, Optional
 
 from repro.sweep.grid import (
@@ -65,7 +66,7 @@ from repro.sweep.grid import (
 
 __all__ = ["SweepRunner", "SweepResult", "run_cell", "pick_start_method"]
 
-#: Seconds the supervisor waits on the result queue per poll.
+#: Seconds the supervisor waits on the workers' pipes per poll.
 _POLL_S = 0.05
 
 #: Directory (under OUT/) of per-worker in-flight marker files.
@@ -145,15 +146,18 @@ def _write_cell_record(cell_dir: str, record: Dict[str, Any]) -> None:
         fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _worker_main(worker_id: int, out_dir: str, task_q, result_q,
+def _worker_main(worker_id: int, out_dir: str, task_q, conn,
                  cache_max: Optional[int] = None) -> None:
     """Worker loop: pull cell dicts until the ``None`` sentinel arrives.
 
     Before running each cell the worker synchronously writes its id to a
-    per-worker marker file.  Queue messages ride a feeder thread that a
-    dying process (``os._exit``, segfault, OOM-kill) silently drops, so
-    the marker — not the ``started`` message — is what the supervisor
-    trusts when attributing a dead worker's in-flight cell.
+    per-worker marker file, which is what the supervisor trusts when
+    attributing a dead worker's in-flight cell.  Messages go to the
+    supervisor over this worker's own pipe ``conn``, sent synchronously
+    between cells.  A shared ``multiprocessing.Queue`` would not do: its
+    feeder thread can be killed holding the queue's write lock when the
+    cell kills the process (``os._exit``, segfault, OOM-kill), and every
+    other worker's messages then stall behind that lock.
     """
     from repro.sweep.scenarios import WorkerContext
 
@@ -166,12 +170,12 @@ def _worker_main(worker_id: int, out_dir: str, task_q, result_q,
         cell = SweepCell.from_dict(item)
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write(cell.cell_id)
-        result_q.put(("started", worker_id, cell.cell_id))
+        conn.send(("started", worker_id, cell.cell_id))
         t0 = time.perf_counter()
         record = run_cell(cell, ctx, out_dir)
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write("")
-        result_q.put((
+        conn.send((
             "done", worker_id, cell.cell_id, record["status"],
             time.perf_counter() - t0, ctx.cache_size, ctx.evictions,
         ))
@@ -313,7 +317,6 @@ class SweepRunner:
                     seeds
                 )
         task_q = ctx.Queue(maxsize=self.queue_depth)
-        result_q = ctx.Queue()
         result = SweepResult(out_dir=self.out_dir, total=len(cells))
         self._durations = {}
         self._cache_stats = {}
@@ -326,21 +329,61 @@ class SweepRunner:
         dispatched: Dict[str, int] = {}  # cell_id -> times queued
         completed: set = set()
         procs: Dict[int, Any] = {}
+        readers: Dict[int, Any] = {}  # worker -> its message pipe
         next_worker_id = 0
 
         def spawn() -> None:
             nonlocal next_worker_id
             wid = next_worker_id
             next_worker_id += 1
+            reader, writer = ctx.Pipe(duplex=False)
             p = ctx.Process(
                 target=_worker_main,
-                args=(wid, self.out_dir, task_q, result_q,
+                args=(wid, self.out_dir, task_q, writer,
                       self.context_cache_max),
                 daemon=True,
             )
             p.start()
+            writer.close()
             procs[wid] = p
+            readers[wid] = reader
             inflight[wid] = None
+
+        def drain(wid: int) -> int:
+            """Handle every message waiting in ``wid``'s pipe.
+
+            A pipe at end-of-file belongs to a worker that exited; it is
+            closed, and the dead-worker check reconciles its cells.
+            """
+            reader, handled = readers[wid], 0
+            try:
+                while reader.poll():
+                    handle(reader.recv())
+                    handled += 1
+            except (EOFError, OSError):
+                reader.close()
+                del readers[wid]
+            return handled
+
+        def handle(msg: tuple) -> None:
+            kind = msg[0]
+            if kind == "started":
+                _, wid, cell_id = msg
+                inflight[wid] = cell_id
+                try:
+                    queued_not_started.remove(cell_id)
+                except ValueError:
+                    pass
+            elif kind == "done":
+                _, wid, cell_id, status, duration, size, evictions = msg
+                inflight[wid] = None
+                self._durations[cell_id] = duration
+                self._cache_stats[wid] = {
+                    "size": size, "evictions": evictions,
+                }
+                if cell_id not in completed:
+                    self._account(result, cell_id, status)
+                    completed.add(cell_id)
 
         for _ in range(min(self.workers, max(1, len(cells)))):
             spawn()
@@ -381,44 +424,23 @@ class SweepRunner:
 
         while len(completed) < len(by_id):
             feed()
-            try:
-                msg = result_q.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                msg = None
-            if msg is not None:
-                kind = msg[0]
-                if kind == "started":
-                    _, wid, cell_id = msg
-                    inflight[wid] = cell_id
-                    try:
-                        queued_not_started.remove(cell_id)
-                    except ValueError:
-                        pass
-                elif kind == "done":
-                    _, wid, cell_id, status, duration, size, evictions = msg
-                    inflight[wid] = None
-                    self._durations[cell_id] = duration
-                    self._cache_stats[wid] = {
-                        "size": size, "evictions": evictions,
-                    }
-                    if cell_id not in completed:
-                        self._account(result, cell_id, status)
-                        completed.add(cell_id)
+            wait_readable(list(readers.values()), timeout=_POLL_S)
+            if sum(drain(wid) for wid in list(readers)):
                 continue
 
             # No message this poll: check for dead workers.  The marker
             # file is the authoritative record of what a dead worker
-            # held — its queue messages may have died with its feeder
-            # thread.  Both the marker cell AND the last cell the
-            # supervisor saw "started" need reconciling: a dying worker
-            # can lose the "done" of its previous cell *and* the
-            # "started" of its current one in the same feeder flush.  An
-            # existing terminal cell.json means the cell finished but
-            # its "done" was lost: artifacts are a pure function of the
-            # cell, so the record on disk is final.
+            # held: it is written before the "started" message is sent.
+            # Both the marker cell AND the last cell the supervisor saw
+            # "started" need reconciling.  An existing terminal
+            # cell.json means the cell finished but the worker died
+            # before sending its "done": artifacts are a pure function
+            # of the cell, so the record on disk is final.
             dead = [wid for wid, p in procs.items() if not p.is_alive()]
             for wid in dead:
                 p = procs.pop(wid)
+                if wid in readers:
+                    drain(wid)  # what it sent before exiting
                 candidates = dict.fromkeys(
                     [inflight.pop(wid, None), self._read_marker(wid)]
                 )
@@ -464,6 +486,8 @@ class SweepRunner:
             p.join(timeout=max(0.1, deadline - time.monotonic()))
             if p.is_alive():
                 p.terminate()
+        for reader in readers.values():
+            reader.close()
         return result
 
     # -- bookkeeping -----------------------------------------------------

@@ -1,9 +1,14 @@
 """Tests for zone records and epoch bookkeeping."""
 
+import math
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clients.protocol import MeasurementType
-from repro.core.records import ZoneRecord, ZoneRecordStore
+from repro.core.records import EpochEstimate, ZoneRecord, ZoneRecordStore
 from repro.radio.technology import NetworkId
 
 KEY = ((0, 0), NetworkId.NET_B, MeasurementType.UDP_TRAIN)
@@ -55,7 +60,7 @@ class TestEpochClose:
         assert est.n_samples == 3
         assert est.start_s == 0.0
         assert est.end_s == 600.0
-        assert rec.open_samples == []
+        assert len(rec.open_samples) == 0
 
     def test_empty_epoch_closes_silently(self):
         rec = _record(epoch_s=600.0)
@@ -124,3 +129,145 @@ class TestStore:
         store.get(KEY)
         assert KEY in store
         assert len(store) == 1
+
+
+class ListRecord:
+    """Reference fold: the list-of-floats record storage, kept verbatim.
+
+    ``ZoneRecord`` packs its samples into ``array("d")``; this is the
+    arithmetic it must reproduce bit for bit.
+    """
+
+    def __init__(self, epoch_s, pool_cap, series_cap):
+        self.epoch_s = epoch_s
+        self.epoch_start_s = 0.0
+        self.epoch_index = 0
+        self.open_samples = []
+        self.history = []
+        self.sample_pool = []
+        self.sample_pool_cap = pool_cap
+        self.series_times = []
+        self.series_values = []
+        self.series_cap = series_cap
+
+    def add_samples(self, values, at_s):
+        finite = [v for v in values if not math.isnan(v)]
+        self.open_samples.extend(finite)
+        room = self.sample_pool_cap - len(self.sample_pool)
+        if room > 0:
+            self.sample_pool.extend(finite[:room])
+
+    def note_measurement(self, value, at_s):
+        if math.isnan(value):
+            return
+        self.series_times.append(at_s)
+        self.series_values.append(value)
+        if len(self.series_times) > self.series_cap:
+            cut = self.series_cap // 4
+            self.series_times = self.series_times[cut:]
+            self.series_values = self.series_values[cut:]
+
+    def maybe_close_epoch(self, now_s):
+        if now_s < self.epoch_start_s + self.epoch_s:
+            return None
+        estimate = None
+        if self.open_samples:
+            n = len(self.open_samples)
+            mean = sum(self.open_samples) / n
+            var = sum((v - mean) ** 2 for v in self.open_samples) / n
+            ordered = sorted(self.open_samples)
+            estimate = EpochEstimate(
+                epoch_index=self.epoch_index,
+                start_s=self.epoch_start_s,
+                end_s=self.epoch_start_s + self.epoch_s,
+                mean=mean,
+                std=math.sqrt(var),
+                n_samples=n,
+                p5=ordered[max(0, int(0.05 * (n - 1)))],
+                p95=ordered[min(n - 1, int(math.ceil(0.95 * (n - 1))))],
+            )
+            self.history.append(estimate)
+        skipped = int((now_s - self.epoch_start_s) // self.epoch_s)
+        self.epoch_start_s += skipped * self.epoch_s
+        self.epoch_index += skipped
+        self.open_samples = []
+        return estimate
+
+
+def _bits(values):
+    """The exact IEEE-754 encodings: -0.0 != 0.0 and NaN == NaN here."""
+    return [struct.pack("<d", v) for v in values]
+
+
+def _close_bits(record, now_s):
+    """What closing at ``now_s`` yields, as exact bits (or the error).
+
+    Finite samples near the double maximum overflow ``(v - mean) ** 2``;
+    both storages must then raise alike and keep the epoch open.
+    """
+    try:
+        est = record.maybe_close_epoch(now_s)
+    except OverflowError:
+        return "OverflowError"
+    return _estimate_bits(est)
+
+
+def _estimate_bits(est):
+    if est is None:
+        return None
+    return (
+        est.epoch_index, est.n_samples,
+        _bits([est.start_s, est.end_s, est.mean, est.std, est.p5, est.p95]),
+    )
+
+
+#: Any double, weighted towards the awkward ones.
+awkward_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([
+        0.0, -0.0, math.inf, -math.inf, math.nan,
+        5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+    ]),
+)
+
+reports = st.lists(
+    st.tuples(
+        st.lists(awkward_floats, max_size=12),   # samples
+        awkward_floats,                          # report value
+        st.floats(min_value=0.0, max_value=400.0),  # seconds since last
+    ),
+    max_size=40,
+)
+
+
+class TestPackedStorageMatchesLists:
+    @given(
+        reports,
+        st.integers(min_value=1, max_value=30),   # sample pool cap
+        st.integers(min_value=4, max_value=24),   # series cap
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fold_is_bit_identical(self, steps, pool_cap, series_cap):
+        rec = _record(epoch_s=300.0)
+        rec.sample_pool_cap = pool_cap
+        rec.series_cap = series_cap
+        ref = ListRecord(300.0, pool_cap, series_cap)
+        now = 0.0
+        for samples, value, gap in steps:
+            now += gap
+            assert _close_bits(rec, now) == _close_bits(ref, now)
+            for r in (rec, ref):
+                r.add_samples(samples, at_s=now)
+                r.note_measurement(value, now)
+            assert _bits(rec.open_samples) == _bits(ref.open_samples)
+        assert _close_bits(rec, now + 1e6) == _close_bits(ref, now + 1e6)
+        assert [_estimate_bits(e) for e in rec.history] == \
+            [_estimate_bits(e) for e in ref.history]
+        assert (rec.epoch_index, rec.epoch_start_s) == \
+            (ref.epoch_index, ref.epoch_start_s)
+        # The caps bound the retained pool and series exactly as before.
+        assert len(rec.sample_pool) <= pool_cap
+        assert len(rec.series_times) <= series_cap
+        assert _bits(rec.sample_pool) == _bits(ref.sample_pool)
+        assert _bits(rec.series_times) == _bits(ref.series_times)
+        assert _bits(rec.series_values) == _bits(ref.series_values)

@@ -8,6 +8,9 @@ deliberate change forces a conscious update of these constants (and a
 re-read of EXPERIMENTS.md, whose numbers would shift too).
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -98,3 +101,38 @@ class TestWorldGolden:
             a.link_state(NetworkId.NET_B, p, 777.0).downlink_bps
             != b.link_state(NetworkId.NET_B, p, 777.0).downlink_bps
         )
+
+
+class TestMonitorGolden:
+    """Epoch closes and recalibrations of a short ``repro monitor`` run.
+
+    The pin was computed while zone records still held their samples in
+    lists of floats.  It holds the arithmetic over those samples (means,
+    stds, the Allan epoch choice and the NKLD budget) fixed across
+    storage changes.  Event ``seq`` numbers are left out: they count
+    every event kind, not just these two.
+    """
+
+    ARGV = ["monitor", "--buses", "3", "--hours", "2", "--epoch-mins", "5",
+            "--radius", "1000", "--seed", "7", "--gen-seed", "1"]
+    COUNTS = {"epoch.close": 371, "calibration.recalibrate": 7}
+    SHA256 = "a4ae936e4d798068745b2e0c7d8e631417908524f7fe2042745dc697626885d9"
+
+    def test_epoch_and_calibration_events_pinned(self, tmp_path, capsys):
+        from repro import cli
+
+        assert cli.main(self.ARGV + ["--telemetry", str(tmp_path)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256()
+        counts = dict.fromkeys(self.COUNTS, 0)
+        with open(tmp_path / "events.jsonl") as fh:
+            for line in fh:
+                event = json.loads(line)
+                if event["kind"] not in counts:
+                    continue
+                counts[event["kind"]] += 1
+                del event["seq"]
+                digest.update(json.dumps(event, sort_keys=True).encode())
+                digest.update(b"\n")
+        assert counts == self.COUNTS
+        assert digest.hexdigest() == self.SHA256
