@@ -70,6 +70,25 @@ def package_version() -> str:
         return getattr(repro, "__version__", "unknown")
 
 
+class _VersionAction(argparse.Action):
+    """``--version`` that resolves :func:`package_version` only when given.
+
+    ``importlib.metadata`` scans the installed distributions; resolving
+    the version while building the parser would charge that to every
+    command, ``serve run`` included.
+    """
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS,
+                 default=argparse.SUPPRESS,
+                 help="show program's version number and exit"):
+        super().__init__(option_strings, dest=dest, default=default,
+                         nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {package_version()}")
+        parser.exit()
+
+
 def cmd_world_info(args: argparse.Namespace) -> int:
     """``repro world-info``: summarize the synthetic radio landscape."""
     from repro.radio.network import build_landscape
@@ -985,10 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="WiScape (IMC 2011) reproduction toolkit",
     )
-    parser.add_argument(
-        "--version", action="version",
-        version=f"%(prog)s {package_version()}",
-    )
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("world-info", help="describe the synthetic landscape")

@@ -25,10 +25,12 @@ from __future__ import annotations
 import io
 import json
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (BinaryIO, Dict, Iterable, Iterator, List, Optional,
+                    Tuple, Union)
 
 __all__ = ["SCHEMA_VERSION", "DEFAULT_CAPACITY", "EventLog", "NullEventLog",
-           "NULL_EVENT_LOG", "read_events", "read_jsonl_tolerant"]
+           "NULL_EVENT_LOG", "TolerantJsonl", "read_events",
+           "read_jsonl_tolerant"]
 
 SCHEMA_VERSION = 1
 
@@ -84,17 +86,19 @@ class EventLog:
             out[e["kind"]] = out.get(e["kind"], 0) + 1
         return out
 
+    def _lines(self) -> Iterator[str]:
+        """The canonical serialiser: one sorted-key compact line per event."""
+        for e in self._events:
+            yield json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
+
     def to_jsonl(self) -> str:
         """Canonical JSONL rendering: one sorted-key compact line each."""
-        buf = io.StringIO()
-        for e in self._events:
-            buf.write(json.dumps(e, sort_keys=True, separators=(",", ":")))
-            buf.write("\n")
-        return buf.getvalue()
+        return "".join(self._lines())
 
     def write_jsonl(self, path) -> None:
+        """Write :meth:`to_jsonl`'s bytes to ``path`` one line at a time."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
+            fh.writelines(self._lines())
 
 
 class NullEventLog:
@@ -129,46 +133,60 @@ NULL_EVENT_LOG = NullEventLog()
 
 
 def read_events(source: Union[str, "io.TextIOBase", Iterable[str]]) -> List[dict]:
-    """Parse an events.jsonl file (path, file object, or line iterable)."""
+    """Parse an events.jsonl file (path, file object, or line iterable).
+
+    Strict: a bad line raises.  Lines are parsed as they are read.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            lines: Iterable[str] = fh.readlines()
-    else:
-        lines = source
-    out = []
-    for line in lines:
-        line = line.strip()
-        if line:
-            out.append(json.loads(line))
-    return out
+            return read_events(fh)
+    return [json.loads(line) for line in map(str.strip, source) if line]
 
 
-def read_jsonl_tolerant(path) -> Tuple[List[dict], int]:
-    """Parse a JSONL file, skipping unparseable lines instead of raising.
+class TolerantJsonl:
+    """Tolerant JSONL reader: a binary file's JSON objects, line by line.
 
     A live run killed mid-write — or a *concurrent* writer caught
     between flushes — leaves a truncated trailing line in
     ``events.jsonl``/``snapshots.jsonl``, possibly cut inside a
     multi-byte UTF-8 sequence.  Report/watch tooling must degrade with
-    a warning, never traceback, so the file is read as bytes and each
-    line decoded independently: a torn line counts toward
-    ``n_bad_lines`` and is simply re-read complete on the next poll.
-    Returns ``(records, n_bad_lines)``.
+    a warning, never traceback, so each line is decoded on its own:
+    blank lines are skipped, and a line that is not UTF-8, not JSON or
+    not a JSON object is counted in :attr:`n_bad` instead of yielded.
+    A torn line is simply re-read complete on the next poll.  Only one
+    line is held at a time, so a caller that folds the records keeps
+    memory independent of the file size.
     """
-    records: List[dict] = []
-    bad = 0
+
+    def __init__(self, fh: BinaryIO):
+        """Read from ``fh``, a file opened in binary mode."""
+        self._fh = fh
+        #: Bad lines seen by the last iteration.
+        self.n_bad = 0
+
+    def __iter__(self) -> Iterator[dict]:
+        self.n_bad = 0
+        for raw in self._fh:
+            if not raw.strip():
+                continue
+            try:
+                record = json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, ValueError):
+                self.n_bad += 1
+                continue
+            if isinstance(record, dict):
+                yield record
+            else:
+                self.n_bad += 1
+
+
+def read_jsonl_tolerant(path) -> Tuple[List[dict], int]:
+    """Parse a JSONL file, skipping bad lines instead of raising.
+
+    The list form of :class:`TolerantJsonl`: returns
+    ``(records, n_bad_lines)``.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    for raw in data.split(b"\n"):
-        if not raw.strip():
-            continue
-        try:
-            record = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            bad += 1
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-        else:
-            bad += 1
-    return records, bad
+        reader = TolerantJsonl(fh)
+        records = list(reader)
+    return records, reader.n_bad

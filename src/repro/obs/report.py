@@ -17,6 +17,14 @@ disagree about what a run did.  Loading is tolerant by design: missing
 or corrupt artifact files degrade into entries in the summary's
 ``warnings`` list rather than tracebacks — a run you had to kill
 mid-flight must still be inspectable.
+
+Loading streams: ``events.jsonl`` and ``snapshots.jsonl`` are folded
+one line at a time (:func:`fold_events`, :func:`fold_snapshots`) into
+only what the report renders — the per-kind event volume, the alert and
+recalibration events, the snapshot count and its first and latest
+record — so a report's memory is bounded by the events it shows, not
+by the size of the files.  In-memory callers (:func:`render_report`,
+:func:`render_live`) go through the same folds.
 """
 
 from __future__ import annotations
@@ -24,9 +32,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.obs.events import read_jsonl_tolerant
+from repro.obs.events import TolerantJsonl
 from repro.obs.metrics import quantile_from_snapshot
 from repro.obs.snapshots import SNAPSHOTS_FILENAME
 from repro.obs.telemetry import (
@@ -38,8 +46,12 @@ from repro.obs.telemetry import (
 )
 
 __all__ = [
+    "EventDigest",
+    "SnapshotDigest",
     "assemble_summary",
     "build_summary",
+    "fold_events",
+    "fold_snapshots",
     "load_artifacts",
     "render_diff",
     "render_live",
@@ -61,6 +73,9 @@ CELL_RECORD_FILENAME = "cell.json"
 
 #: Alert transitions shown in the text report (most recent last).
 MAX_ALERT_ROWS = 20
+
+_ALERT_KINDS = ("alert.fired", "alert.resolved")
+_RECALIBRATE_KIND = "calibration.recalibrate"
 
 
 def _table(headers):
@@ -142,23 +157,75 @@ def _synthesize_manifest(out_dir: str, warnings: List[str]) -> Optional[dict]:
     return None
 
 
+class EventDigest(NamedTuple):
+    """What the report keeps of an event stream."""
+
+    #: Events per kind, in first-seen order.
+    volume: Dict[str, int]
+    #: ``alert.fired``/``alert.resolved`` events, in log order.
+    alerts: List[dict]
+    #: ``calibration.recalibrate`` events, in log order.
+    recalibrations: List[dict]
+
+
+class SnapshotDigest(NamedTuple):
+    """What the report keeps of a snapshot stream."""
+
+    count: int
+    #: ``t`` of the first snapshot (None when there is none).
+    first_t: Optional[float]
+    #: The last snapshot (None when there is none).
+    latest: Optional[dict]
+
+
+def fold_events(events: Iterable[dict]) -> EventDigest:
+    """Fold events, in log order, into the report's :class:`EventDigest`.
+
+    One pass that holds only the events the report renders, so a
+    streamed ``events.jsonl`` is never materialised.
+    """
+    volume: Dict[str, int] = {}
+    alerts: List[dict] = []
+    recalibrations: List[dict] = []
+    for e in events:
+        kind = e.get("kind", "?")
+        volume[kind] = volume.get(kind, 0) + 1
+        if kind in _ALERT_KINDS:
+            alerts.append(e)
+        elif kind == _RECALIBRATE_KIND:
+            recalibrations.append(e)
+    return EventDigest(volume, alerts, recalibrations)
+
+
+def fold_snapshots(snapshots: Iterable[dict]) -> SnapshotDigest:
+    """Fold snapshots, in file order, into a :class:`SnapshotDigest`."""
+    count = 0
+    first_t = latest = None
+    for latest in snapshots:
+        if not count:
+            first_t = latest.get("t")
+        count += 1
+    return SnapshotDigest(count, first_t, latest)
+
+
 def load_artifacts(out_dir: str) -> dict:
     """Read whichever artifact files exist under ``out_dir``.
 
     Accepts three layouts: a single telemetry run (``manifest.json``),
     a sweep root (``sweep_manifest.json`` + merged artifacts) and a
     sweep cell directory (``cell.json``); for the sweep layouts the
-    manifest is synthesized from the sweep/cell records.  Never raises
+    manifest is synthesized from the sweep/cell records.  ``events`` and
+    ``snapshots`` are streamed through :func:`fold_events` and
+    :func:`fold_snapshots`, so they come back as an
+    :class:`EventDigest` and a :class:`SnapshotDigest`.  Never raises
     on a partial or corrupt directory: unreadable files and unparseable
     JSONL lines become entries in the returned ``warnings`` list and the
     affected artifact keeps its empty default.
     """
     artifacts: dict = {
         "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-        "events": [],
         "spans": {},
         "manifest": None,
-        "snapshots": [],
         "warnings": [],
     }
     warnings: List[str] = artifacts["warnings"]
@@ -169,20 +236,22 @@ def load_artifacts(out_dir: str) -> dict:
             return None
         return _read_json(path, filename, warnings)
 
-    def _jsonl_file(filename: str) -> List[dict]:
+    def _jsonl_file(filename: str, fold: Callable[[Iterable[dict]], tuple]):
         path = os.path.join(out_dir, filename)
         if not os.path.exists(path):
-            return []
+            return fold(())
         try:
-            rows, n_bad = read_jsonl_tolerant(path)
+            with open(path, "rb") as fh:
+                reader = TolerantJsonl(fh)
+                folded = fold(reader)
         except OSError as exc:
             warnings.append(f"unreadable {filename}: {exc}")
-            return []
-        if n_bad:
+            return fold(())
+        if reader.n_bad:
             warnings.append(
-                f"{filename}: skipped {n_bad} unparseable line(s)"
+                f"{filename}: skipped {reader.n_bad} unparseable line(s)"
             )
-        return rows
+        return folded
 
     is_sweep_root = os.path.exists(
         os.path.join(out_dir, SWEEP_MANIFEST_FILENAME)
@@ -199,7 +268,7 @@ def load_artifacts(out_dir: str) -> dict:
             )
         else:
             warnings.append(f"no {METRICS_FILENAME} found")
-    artifacts["events"] = _jsonl_file(EVENTS_FILENAME)
+    artifacts["events"] = _jsonl_file(EVENTS_FILENAME, fold_events)
     spans = _json_file(SPANS_FILENAME)
     if spans is not None:
         artifacts["spans"] = spans
@@ -212,7 +281,7 @@ def load_artifacts(out_dir: str) -> dict:
         artifacts["manifest"] = _json_file(MANIFEST_FILENAME)
     else:
         artifacts["manifest"] = _synthesize_manifest(out_dir, warnings)
-    artifacts["snapshots"] = _jsonl_file(SNAPSHOTS_FILENAME)
+    artifacts["snapshots"] = _jsonl_file(SNAPSHOTS_FILENAME, fold_snapshots)
     return artifacts
 
 
@@ -342,22 +411,20 @@ def build_summary(artifacts: dict) -> dict:
 
     This is the single source both renderers consume: ``obs report``
     prints it as text, ``obs report --format json`` dumps it verbatim.
+    ``artifacts`` is :func:`load_artifacts`' shape: ``events`` is an
+    :class:`EventDigest` and ``snapshots`` a :class:`SnapshotDigest`.
     """
-    events = artifacts.get("events") or []
-    snapshots = artifacts.get("snapshots") or []
-    event_volume: Dict[str, int] = {}
-    for e in events:
-        kind = e.get("kind", "?")
-        event_volume[kind] = event_volume.get(kind, 0) + 1
+    events: EventDigest = artifacts["events"]
+    snapshots: SnapshotDigest = artifacts["snapshots"]
     return assemble_summary(
         manifest=artifacts.get("manifest"),
         metrics=artifacts.get("metrics") or {},
         spans=artifacts.get("spans") or {},
-        event_volume=event_volume,
-        alert_events=events,
-        n_snapshots=len(snapshots),
-        first_t=snapshots[0].get("t") if snapshots else None,
-        last_t=snapshots[-1].get("t") if snapshots else None,
+        event_volume=events.volume,
+        alert_events=events.alerts,
+        n_snapshots=snapshots.count,
+        first_t=snapshots.first_t,
+        last_t=snapshots.latest.get("t") if snapshots.count else None,
         warnings=artifacts.get("warnings") or [],
     )
 
@@ -579,7 +646,7 @@ def _render_snapshots(summary: dict, lines: List[str]) -> None:
 
 def _render_budget_convergence(events: List[dict], lines: List[str]) -> None:
     """Per-stream sample-budget/epoch trajectory from recalibrate events."""
-    recals = [e for e in events if e.get("kind") == "calibration.recalibrate"]
+    recals = [e for e in events if e.get("kind") == _RECALIBRATE_KIND]
     if not recals:
         return
     streams: Dict[Tuple, List[dict]] = {}
@@ -616,8 +683,8 @@ def render_summary(
 
     Every section reads the summary except budget convergence, which
     needs the raw ``calibration.recalibrate`` events — the file path
-    passes the whole event list (the renderer filters), the store path
-    passes a kind-indexed query's rows.
+    passes its :class:`EventDigest`'s ``recalibrations``, the store path
+    a kind-indexed query's rows (the renderer filters either way).
     """
     lines = [f"== {title} " + "=" * max(1, 64 - len(title))]
     _render_warnings(summary["warnings"], lines)
@@ -637,40 +704,45 @@ def render_summary(
 
 def render_report(
     metrics: dict,
-    events: List[dict],
+    events: Iterable[dict],
     spans: dict,
     manifest: Optional[dict] = None,
     title: str = "telemetry report",
-    snapshots: Optional[List[dict]] = None,
+    snapshots: Optional[Iterable[dict]] = None,
     warnings: Optional[List[str]] = None,
 ) -> str:
     """Assemble the full text report from artifact dicts."""
-    summary = build_summary(
+    return _render_artifacts(
         {
             "metrics": metrics,
-            "events": events,
+            "events": fold_events(events),
             "spans": spans,
             "manifest": manifest,
-            "snapshots": snapshots or [],
+            "snapshots": fold_snapshots(snapshots or ()),
             "warnings": warnings or [],
-        }
+        },
+        title,
     )
-    return render_summary(summary, recal_events=events, title=title)
+
+
+def _render_artifacts(artifacts: dict, title: str) -> str:
+    """Text report of :func:`load_artifacts`-shaped ``artifacts``."""
+    return render_summary(build_summary(artifacts),
+                          recal_events=artifacts["events"].recalibrations,
+                          title=title)
 
 
 def render_report_from_dir(out_dir: str, title: Optional[str] = None) -> str:
     """Load artifacts from ``out_dir`` and render the report."""
-    artifacts = load_artifacts(out_dir)
-    return render_summary(build_summary(artifacts),
-                          recal_events=artifacts["events"],
-                          title=title or f"telemetry report: {out_dir}")
+    return _render_artifacts(load_artifacts(out_dir),
+                             title or f"telemetry report: {out_dir}")
 
 
 def render_live(telemetry: Telemetry, manifest=None, title: str = "telemetry report") -> str:
     """Render directly from a live Telemetry (no files involved)."""
     return render_report(
         telemetry.metrics.snapshot(),
-        telemetry.events.events(),
+        telemetry.events,
         telemetry.tracer.snapshot(),
         manifest.to_dict() if manifest is not None else None,
         title=title,
@@ -688,8 +760,8 @@ def render_watch(out_dir: str) -> str:
     """
     artifacts = load_artifacts(out_dir)
     summary = build_summary(artifacts)
-    snapshots = artifacts["snapshots"]
-    latest = snapshots[-1] if snapshots else None
+    snapshots: SnapshotDigest = artifacts["snapshots"]
+    latest = snapshots.latest
     source = latest if latest is not None else artifacts["metrics"]
     counters = source.get("counters", {})
     gauges = source.get("gauges", {})
@@ -698,7 +770,7 @@ def render_watch(out_dir: str) -> str:
     bits = []
     if latest is not None:
         bits.append(f"t={latest.get('t', 0.0):.0f}s")
-        bits.append(f"snapshots={len(snapshots)}")
+        bits.append(f"snapshots={snapshots.count}")
     else:
         bits.append("no snapshots.jsonl (final artifacts only)")
     bits.append(f"ticks={counters.get('coordinator.ticks', 0):.0f}")

@@ -35,7 +35,7 @@ import json
 import os
 from typing import Callable, List, Optional
 
-from repro.obs.events import read_jsonl_tolerant
+from repro.obs.events import read_events, read_jsonl_tolerant
 from repro.obs.telemetry import Telemetry
 
 __all__ = [
@@ -192,4 +192,4 @@ def read_snapshots(path, tolerant: bool = True):
     if tolerant:
         return read_jsonl_tolerant(path)
     with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()], 0
+        return read_events(fh), 0

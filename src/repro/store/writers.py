@@ -22,6 +22,7 @@ Three artifact shapes backfill into one schema:
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -302,10 +303,14 @@ def import_telemetry_dir(
     Loads artifacts through the same tolerant loader ``obs report``
     uses, so the warnings stored with the run are the warnings the
     file-backed report would have shown — part of the byte-identity
-    contract.  Everything lands in a single transaction: a run is
-    either fully queryable or absent.
+    contract.  The loader keeps only a digest of ``events.jsonl``, so
+    the events are streamed a second time, through the same tolerant
+    reader, inside the transaction that inserts them.  Everything lands
+    in a single transaction: a run is either fully queryable or absent.
     """
+    from repro.obs.events import TolerantJsonl
     from repro.obs.report import load_artifacts
+    from repro.obs.telemetry import EVENTS_FILENAME
 
     artifacts = load_artifacts(out_dir)
     manifest = artifacts.get("manifest")
@@ -344,30 +349,35 @@ def import_telemetry_dir(
             )
             result._count("spans")
 
+        try:
+            events_fh = open(os.path.join(out_dir, EVENTS_FILENAME), "rb")
+        except OSError:  # absent or unreadable: the loader has warned
+            events_fh = io.BytesIO()
         volume: Dict[str, int] = {}
-        for seq, event in enumerate(artifacts.get("events") or []):
-            event_kind = str(event.get("kind", "?"))
-            volume[event_kind] = volume.get(event_kind, 0) + 1
-            conn.execute(
-                "INSERT INTO events (run_id, seq, kind, t, payload_json)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (run_id, seq, event_kind, event.get("t"), _canon(event)),
-            )
-            result._count("events")
-            if event_kind in _ALERT_KINDS:
+        with events_fh:
+            for seq, event in enumerate(TolerantJsonl(events_fh)):
+                event_kind = str(event.get("kind", "?"))
+                volume[event_kind] = volume.get(event_kind, 0) + 1
                 conn.execute(
-                    "INSERT INTO alerts (run_id, seq, t, transition, rule,"
-                    " metric, severity, payload_json)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        run_id, seq, event.get("t"),
-                        "fired" if event_kind == "alert.fired"
-                        else "resolved",
-                        str(event.get("rule")), str(event.get("metric")),
-                        str(event.get("severity", "?")), _canon(event),
-                    ),
+                    "INSERT INTO events (run_id, seq, kind, t, payload_json)"
+                    " VALUES (?, ?, ?, ?, ?)",
+                    (run_id, seq, event_kind, event.get("t"), _canon(event)),
                 )
-                result._count("alerts")
+                result._count("events")
+                if event_kind in _ALERT_KINDS:
+                    conn.execute(
+                        "INSERT INTO alerts (run_id, seq, t, transition, rule,"
+                        " metric, severity, payload_json)"
+                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                        (
+                            run_id, seq, event.get("t"),
+                            "fired" if event_kind == "alert.fired"
+                            else "resolved",
+                            str(event.get("rule")), str(event.get("metric")),
+                            str(event.get("severity", "?")), _canon(event),
+                        ),
+                    )
+                    result._count("alerts")
         for event_kind in sorted(volume):
             conn.execute(
                 "INSERT INTO event_rollups (run_id, kind, n)"
@@ -376,14 +386,15 @@ def import_telemetry_dir(
             )
             result._count("event_rollups")
 
-        snapshots = artifacts.get("snapshots") or []
+        snapshots = artifacts["snapshots"]
         conn.execute(
             "INSERT INTO snapshot_stats (run_id, count, first_t_json,"
             " last_t_json) VALUES (?, ?, ?, ?)",
             (
-                run_id, len(snapshots),
-                _canon(snapshots[0].get("t")) if snapshots else None,
-                _canon(snapshots[-1].get("t")) if snapshots else None,
+                run_id, snapshots.count,
+                _canon(snapshots.first_t) if snapshots.count else None,
+                _canon(snapshots.latest.get("t")) if snapshots.count
+                else None,
             ),
         )
         result._count("snapshot_stats")

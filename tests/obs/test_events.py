@@ -2,11 +2,16 @@
 
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.obs.events import (
     NULL_EVENT_LOG,
     SCHEMA_VERSION,
     EventLog,
     read_events,
+    read_jsonl_tolerant,
 )
 
 
@@ -61,6 +66,95 @@ class TestSerialization:
     def test_read_from_iterable(self):
         lines = ['{"kind":"a","t":1.0}', "", '{"kind":"b","t":2.0}']
         assert [e["kind"] for e in read_events(lines)] == ["a", "b"]
+
+    def test_streamed_write_matches_to_jsonl(self, tmp_path):
+        log = EventLog()
+        for k in range(50):
+            log.emit("k%d" % (k % 3), float(k), note="naïve", n=k)
+        path = tmp_path / "events.jsonl"
+        log.write_jsonl(path)
+        assert path.read_bytes() == log.to_jsonl().encode("utf-8")
+
+    def test_strict_reader_raises_on_a_bad_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"kind":"a"}\n{"kind":\n')
+        with pytest.raises(json.JSONDecodeError):
+            read_events(str(path))
+
+
+def _split_reader(data: bytes):
+    """The whole-buffer tolerant reader, kept as the reference.
+
+    This is how ``read_jsonl_tolerant`` read a file before it streamed:
+    one ``read()``, then ``split(b"\n")``.
+    """
+    records, bad = [], 0
+    for raw in data.split(b"\n"):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError):
+            bad += 1
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+        else:
+            bad += 1
+    return records, bad
+
+
+_DICT_LINES = st.dictionaries(
+    st.sampled_from(["kind", "t", "note", "seq"]),
+    st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=8),
+              st.none()),
+    max_size=4,
+).map(lambda d: json.dumps(d, ensure_ascii=False).encode("utf-8"))
+_NON_DICT_LINES = st.sampled_from(
+    [b"[1, 2]", b"3", b'"text"', b"null", b"true", b"-0.5"])
+_GARBAGE_LINES = st.one_of(
+    st.binary(max_size=12).filter(lambda b: b"\n" not in b),
+    st.sampled_from([b"{", b'{"kind":', b"\xff\xfe", b"\xef\xbb\xbf{}",
+                     b'{"note":"\xc3"}', b"\x0b{}", b"{}\x0c", b"NaN",
+                     b"\x1c", b"\xc2\x85"]),
+)
+_BLANK_LINES = st.sampled_from([b"", b" ", b"\t", b"  \t ", b"\r", b"\x0b"])
+
+
+@st.composite
+def _jsonl_bytes(draw):
+    """A JSONL file mixing good, non-object, garbage and blank lines."""
+    lines = draw(st.lists(
+        st.one_of(_DICT_LINES, _NON_DICT_LINES, _GARBAGE_LINES, _BLANK_LINES),
+        max_size=12,
+    ))
+    ends = [draw(st.sampled_from([b"\n", b"\r\n"])) for _ in lines]
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    tail = draw(st.sampled_from(["none", "unterminated", "torn-utf8"]))
+    if tail == "unterminated":
+        data += draw(_DICT_LINES)
+    elif tail == "torn-utf8":
+        line = json.dumps({"kind": "x", "note": "naïve €"},
+                          ensure_ascii=False).encode("utf-8")
+        cut = line.index("€".encode("utf-8")) + draw(st.integers(1, 2))
+        data += line[:cut]
+    return data
+
+
+class TestTolerantReader:
+    """The streamed reader returns exactly what the split-based one did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_jsonl_bytes())
+    def test_matches_split_reader(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("jsonl") / "events.jsonl"
+        path.write_bytes(data)
+        assert read_jsonl_tolerant(path) == _split_reader(data)
+
+    def test_counts_a_line_cut_inside_a_utf8_sequence(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(b'{"kind":"a"}\r\n\n[1]\n{"note":"\xe2\x82')
+        assert read_jsonl_tolerant(path) == ([{"kind": "a"}], 2)
 
 
 class TestNullEventLog:

@@ -6,6 +6,8 @@ from repro.obs.manifest import RunManifest
 from repro.obs.report import (
     _histogram_quantile,
     build_summary,
+    fold_events,
+    fold_snapshots,
     load_artifacts,
     render_diff,
     render_live,
@@ -81,7 +83,8 @@ class TestRender:
 
     def test_load_artifacts_missing_dir_contents(self, tmp_path):
         arts = load_artifacts(str(tmp_path))
-        assert arts["events"] == []
+        assert arts["events"] == fold_events([])
+        assert arts["snapshots"] == fold_snapshots([])
         assert arts["manifest"] is None
 
 
@@ -138,7 +141,9 @@ class TestPartialAndCorruptDirs:
             fh.write('{"kind": "epoch.close", "t":')
         arts = load_artifacts(str(out))
         assert any("events.jsonl" in w for w in arts["warnings"])
-        assert all(isinstance(e, dict) for e in arts["events"])
+        # The torn line is skipped; every complete event is still folded.
+        assert arts["events"].volume == {"epoch.close": 1,
+                                         "calibration.recalibrate": 1}
 
     def test_truncated_snapshots_tail_skipped(self, tmp_path):
         out = _write_dir(tmp_path)
@@ -176,8 +181,8 @@ class TestSummaryModel:
         tel.emit("alert.fired", 70.0, rule="r", metric="m", value=2.0)
         summary = build_summary({
             "metrics": tel.metrics.snapshot(),
-            "events": tel.events.events(),
-            "spans": {}, "manifest": None, "snapshots": [],
+            "events": fold_events(tel.events),
+            "spans": {}, "manifest": None, "snapshots": fold_snapshots([]),
             "warnings": [],
         })
         assert summary["alerts"]["fired"] == 2

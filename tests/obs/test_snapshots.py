@@ -93,6 +93,15 @@ class TestFileOutput:
         assert len(snaps) == 1
         assert n_bad == 1
 
+    def test_strict_read_snapshots_raises_on_truncated_tail(self, tmp_path):
+        path = tmp_path / "snapshots.jsonl"
+        good = json.dumps({"v": 1, "seq": 0, "t": 1.0})
+        path.write_text(good + "\n\n")
+        assert read_snapshots(path, tolerant=False) == ([json.loads(good)], 0)
+        path.write_text(good + "\n" + '{"v": 1, "seq": 1, "t":')
+        with pytest.raises(json.JSONDecodeError):
+            read_snapshots(path, tolerant=False)
+
     def test_read_snapshots_tolerates_mid_multibyte_truncation(self, tmp_path):
         # A concurrent writer can be caught mid-flush, splitting the
         # file inside a multi-byte UTF-8 sequence; the reader must skip

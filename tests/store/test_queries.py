@@ -83,20 +83,12 @@ class TestReportContract:
             json.dumps(want, indent=2, sort_keys=True)
 
     def test_text_report_matches_file_renderer(self, store, tmp_path):
-        from repro.obs.report import (
-            build_summary,
-            load_artifacts,
-            render_summary,
-        )
+        from repro.obs.report import render_report_from_dir
 
         out = write_telemetry_dir(tmp_path / "tel")
         import_telemetry_dir(store, out, "t")
 
-        artifacts = load_artifacts(out)
-        recals = [e for e in artifacts.get("events") or []
-                  if e.get("kind") == "calibration.recalibrate"]
-        want = render_summary(build_summary(artifacts),
-                              recal_events=recals, title="same")
+        want = render_report_from_dir(out, title="same")
         got = render_report_from_store(
             str(tmp_path / "store.sqlite"), run="t", title="same")
         assert got == want

@@ -34,6 +34,19 @@ class TestVersion:
         # Off PYTHONPATH=src the fallback is the package attribute.
         assert package_version() == repro.__version__
 
+    def test_parser_build_leaves_importlib_metadata_unloaded(self):
+        # The version is resolved only when --version is given, so no
+        # other command pays for scanning installed distributions.
+        import subprocess
+        import sys
+
+        code = ("import sys; from repro.cli import build_parser; "
+                "build_parser(); print('importlib.metadata' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_module_entry_point(self):
         import subprocess
         import sys
