@@ -23,9 +23,8 @@ The headline numbers (also asserted here so CI catches regressions):
   ``serve.reports_per_s`` for history comparability — and the batched
   binary path (REPORT_BATCH frames + range ACKs + WAL group commit),
   which must sustain >= 3x the unbatched rate; zero dropped reports and
-  a byte-identical WAL replay per codec are hard gates, and a cProfile
-  stage names the hot functions (top-N by cumulative time) in
-  ``BENCH_perf.json``;
+  a byte-identical WAL replay per codec are hard gates (for where the
+  time goes, ``python -m bench run --trace`` attributes it per layer);
 * the zone-sharded cluster: the same 4-process gateway-routed loadgen
   against a 1-shard and a 3-shard cluster — 3 shards must sustain
   >= 2.5x the 1-shard rate *when >= 8 CPUs are visible* (``null``
@@ -409,47 +408,6 @@ def bench_serve():
     }
 
 
-def profile_serve(top_n=15):
-    """cProfile the batched serve hot path; top-N by cumulative time.
-
-    A perf PR should name the functions it claims are hot: this runs a
-    reduced batched-binary loadgen shape under cProfile and returns the
-    repo's own functions (plus the asyncio/json/struct layers they sit
-    on) ranked by cumulative time, for BENCH_perf.json.
-    """
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    _run_serve_shape("binary", SERVE_BATCH_SIZE, 200, 5, 32)
-    profiler.disable()
-
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    total_time = stats.total_tt
-    out = []
-    for func in stats.fcn_list:
-        if len(out) >= top_n:
-            break
-        filename, lineno, name = func
-        #: Skip the harness wrappers above the event loop — they are
-        #: 100% cumulative by construction and name nothing hot.
-        if name in ("<module>", "profile_serve", "_run_serve_shape"):
-            continue
-        cc, nc, tt, ct, _callers = stats.stats[func]
-        short = os.path.join(*Path(filename).parts[-2:]) \
-            if filename != "~" else name
-        out.append({
-            "function": f"{short}:{lineno}({name})",
-            "ncalls": nc,
-            "tottime_s": round(tt, 6),
-            "cumtime_s": round(ct, 6),
-        })
-    return {"total_time_s": round(total_time, 6),
-            "top_by_cumulative": out}
-
-
 #: Parallel loadgen worker processes driving the cluster bench (each
 #: worker is its own process so client-side encoding never serializes
 #: on one GIL while we measure server-side scaling).
@@ -785,8 +743,6 @@ def main():
     print("timing measurement store (100k-report ingest, rollup query "
           "vs JSONL refold) ...")
     store = bench_store()
-    print("profiling the batched serve hot path (cProfile) ...")
-    profile = profile_serve()
 
     manifest = RunManifest(
         run_kind="bench-perf",
@@ -808,7 +764,6 @@ def main():
         "serve": serve,
         "cluster": cluster,
         "store": store,
-        "profile": profile,
         "manifest": manifest.to_dict(),
     }
     OUT_PATH.write_text(json.dumps(results, indent=2) + "\n")

@@ -807,7 +807,7 @@ def cmd_serve_cluster(args: argparse.Namespace) -> int:
         if args.port_file:
             Path(args.port_file).write_text(f"{cluster.gateway_port}\n")
         stop = asyncio.Event()
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(sig, stop.set)
         if hasattr(signal, "SIGUSR1"):

@@ -167,7 +167,7 @@ class LocalCluster:
         for shard in self._shards.values():
             remaining = max(0.1, deadline - time.monotonic())
             try:
-                await asyncio.get_event_loop().run_in_executor(
+                await asyncio.get_running_loop().run_in_executor(
                     None, shard.proc.wait, remaining
                 )
             except subprocess.TimeoutExpired:

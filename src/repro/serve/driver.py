@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from repro.clients.agent import ClientAgent
 from repro.serve.wire import (
     CODEC_JSON,
     PROTOCOL_VERSION,
@@ -41,6 +40,9 @@ from repro.serve.wire import (
     report_to_wire,
     task_from_wire,
 )
+
+if TYPE_CHECKING:
+    from repro.clients.agent import ClientAgent
 
 __all__ = ["DriverStats", "Redirected", "ServedClient", "ServeSession"]
 
@@ -333,6 +335,11 @@ class ServeSession:
 class ServedClient:
     """Drive one existing :class:`ClientAgent` over the wire.
 
+    Only the agent's ``client_id``, ``device.networks``, ``position(t)``
+    and ``execute(task, t)`` are used, so this module imports the agent
+    for type checking only and a wire-client process never loads the
+    simulator.
+
     ``batch_size`` > 1 turns on report coalescing: completed reports
     accumulate in a client-side buffer and go out as one REPORT_BATCH
     frame when the buffer fills (and at session end, so nothing is ever
@@ -368,7 +375,7 @@ class ServedClient:
 
     async def run(self, n_polls: int, start_s: float = 0.0) -> DriverStats:
         """Poll/execute/report for ``n_polls`` sim ticks, then BYE."""
-        loop_time = asyncio.get_event_loop().time
+        loop_time = asyncio.get_running_loop().time
         async with self.session:
             for i in range(n_polls):
                 t = start_s + i * self.poll_interval_s

@@ -18,6 +18,7 @@ uninterrupted one.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -106,8 +107,7 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     """Nearest-rank percentile of an already sorted list (0 if empty)."""
     if not sorted_values:
         return 0.0
-    rank = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[rank]
+    return sorted_values[max(0, math.ceil(q * len(sorted_values)) - 1)]
 
 
 def synthetic_report(client_index: int, seq: int) -> Dict[str, Any]:
@@ -157,7 +157,7 @@ async def _run_one_client(
     latencies: List[float],
 ) -> None:
     """One session: connect (with retries), push every report, close."""
-    loop_time = asyncio.get_event_loop().time
+    loop_time = asyncio.get_running_loop().time
     gindex = cfg.client_offset + index
     session: Optional[ServeSession] = None
     reconnects = 0
@@ -265,7 +265,7 @@ async def _run_one_cluster_client(
     unsettled remainder — up to the reconnect budget, after which the
     leftovers count as dropped.
     """
-    loop_time = asyncio.get_event_loop().time
+    loop_time = asyncio.get_running_loop().time
     gindex = cfg.client_offset + index
     sessions: Dict[str, ServeSession] = {}
     reconnects = 0
@@ -385,7 +385,7 @@ async def run_loadgen(cfg: LoadgenConfig) -> LoadgenResult:
     result = LoadgenResult(clients=cfg.clients)
     latencies: List[float] = []
     semaphore = asyncio.Semaphore(max(1, cfg.concurrency))
-    loop_time = asyncio.get_event_loop().time
+    loop_time = asyncio.get_running_loop().time
 
     holder: Dict[str, Any] = {"map": None}
 

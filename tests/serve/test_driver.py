@@ -133,6 +133,28 @@ class TestServedClient:
 
         with_server(scenario)
 
+    def test_drives_a_real_client_agent(self, city_only_landscape):
+        from repro.clients.agent import ClientAgent
+        from repro.clients.device import Device, DeviceCategory
+        from repro.mobility.models import StaticPosition
+
+        point = city_only_landscape.study_area.anchor.offset(1100.0, -300.0)
+        device = Device("dev-1", DeviceCategory.LAPTOP_USB,
+                        [NetworkId.NET_A, NetworkId.NET_B], seed=1)
+        agent = ClientAgent("agent-1", device, StaticPosition(point),
+                            city_only_landscape, seed=2)
+
+        async def scenario(server):
+            client = ServedClient(agent, "127.0.0.1", server.port)
+            stats = await client.run(n_polls=4)
+            assert stats.tasks_received == 4
+            assert stats.reports_sent == 4 - stats.tasks_refused
+            assert stats.reports_acked + stats.reports_rejected \
+                == stats.reports_sent
+            assert stats.reports_acked > 0
+
+        with_server(scenario)
+
     def test_refused_tasks_are_counted_not_sent(self):
         async def scenario(server):
             agent = _StubAgent(refuse_every=2)

@@ -35,10 +35,19 @@ class TestSyntheticReports:
                 assert coordinator.ingest(report), (client, seq)
 
     def test_percentile_nearest_rank(self):
-        values = [1.0, 2.0, 3.0, 4.0]
         assert _percentile([], 0.99) == 0.0
-        assert _percentile(values, 0.0) == 1.0
-        assert _percentile(values, 0.99) == 4.0
+        cases = [
+            ([1.0, 2.0, 3.0, 4.0], {0.0: 1.0, 0.99: 4.0}),
+            ([1.0, 2.0], {0.50: 1.0, 0.95: 2.0}),
+            ([7.5], {0.50: 7.5, 0.95: 7.5, 0.99: 7.5}),
+            ([float(v) for v in range(1, 21)],
+             {0.50: 10.0, 0.95: 19.0, 0.99: 20.0}),
+            ([float(v) for v in range(1, 101)],
+             {0.50: 50.0, 0.95: 95.0, 0.99: 99.0}),
+        ]
+        for values, expected in cases:
+            for q, want in expected.items():
+                assert _percentile(values, q) == want, (len(values), q)
 
     def test_result_to_dict_caps_errors(self):
         result = LoadgenResult(errors=[f"e{i}" for i in range(20)])
