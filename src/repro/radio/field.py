@@ -222,7 +222,3 @@ class SpatialField:
             self.seed + 1, x, y, self.texture_scale_m / 3.0
         )
         return self.texture_amp * n
-
-    def value_batch(self, x, y) -> np.ndarray:
-        """Vectorized :meth:`value` over projected-xy arrays."""
-        return self.smooth_batch(x, y) * (1.0 + self.texture_batch(x, y))

@@ -59,35 +59,6 @@ def _smooth_bin_noise(seed: int, t: float, bin_s: float) -> float:
     return a + (b - a) * w
 
 
-def _hash_noise_batch(seed: int, bins: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_hash_noise` over int64 bin-index arrays.
-
-    The seed terms are pre-masked in Python (a 63-bit seed times the mix
-    constant overflows int64); the remaining arithmetic mirrors the
-    scalar hash bit for bit.
-    """
-    total = np.zeros(bins.shape, dtype=float)
-    for k in range(3):
-        seed_term = (int(seed) * 40503 + k * 97) & _UINT32
-        h = (bins * np.int64(2654435761) + seed_term) & np.int64(_UINT32)
-        h = ((h ^ (h >> 13)) * np.int64(1274126177)) & np.int64(_UINT32)
-        h = h ^ (h >> 16)
-        total += h / float(_UINT32 + 1)
-    return (total - 1.5) / 0.5
-
-
-def _smooth_bin_noise_batch(seed: int, t: np.ndarray, bin_s: float) -> np.ndarray:
-    """Vectorized :func:`_smooth_bin_noise` over time arrays."""
-    u = t / bin_s
-    i = np.floor(u)
-    f = u - i
-    w = f * f * (3.0 - 2.0 * f)
-    idx = i.astype(np.int64)
-    a = _hash_noise_batch(seed, idx)
-    b = _hash_noise_batch(seed, idx + 1)
-    return a + (b - a) * w
-
-
 def diurnal_load_batch(t, amplitude: float) -> np.ndarray:
     """Vectorized :func:`diurnal_load` over time arrays."""
     t = np.asarray(t, dtype=float)

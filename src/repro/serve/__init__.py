@@ -36,7 +36,6 @@ lazy_exports(__name__, {
         "CoordinatorServer",
         "ServeConfig",
         "build_coordinator",
-        "install_uvloop",
         "replay_wal",
     ),
     "shardmap": ("ShardInfo", "ShardMap"),
@@ -71,7 +70,6 @@ __all__ = [
     "CoordinatorServer",
     "ServeConfig",
     "build_coordinator",
-    "install_uvloop",
     "replay_wal",
     "ServeSession",
     "ServedClient",

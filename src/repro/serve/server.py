@@ -96,7 +96,7 @@ from repro.serve.wire import (
 )
 
 __all__ = ["ServeConfig", "CoordinatorServer", "build_coordinator",
-           "replay_wal", "install_uvloop"]
+           "replay_wal"]
 
 #: Buckets for the server-side ACK latency histogram (seconds).
 _ACK_LATENCY_BUCKETS = (
@@ -145,21 +145,6 @@ class ServeConfig:
     #: default) means single-node mode: no ownership checks, no
     #: REDIRECTs — the PR-6 behavior byte-for-byte.
     shard_id: str = ""
-
-
-def install_uvloop() -> bool:
-    """Install the uvloop event-loop policy when the package exists.
-
-    Returns True on success and False when uvloop is not importable —
-    stdlib asyncio remains the deterministic default either way, so
-    callers can treat the return value as purely informational.
-    """
-    try:
-        import uvloop  # type: ignore[import-not-found]
-    except ImportError:
-        return False
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return True
 
 
 def build_coordinator(

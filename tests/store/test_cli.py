@@ -150,6 +150,40 @@ class TestServeReplayStore:
         assert rc == 2 and "mutually exclusive" in err
 
 
+class TestServeReplayCorruptWal:
+    """A WAL damaged mid-segment exits 1 under every replay form."""
+
+    @pytest.fixture
+    def corrupt_wal(self, wal_dir):
+        from repro.serve.wal import wal_segments
+
+        (segment,) = wal_segments(wal_dir)
+        with open(segment, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[2] = b"00000000 garbage"
+        with open(segment, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        return wal_dir
+
+    @pytest.mark.parametrize("form", ["plain", "cluster", "store"])
+    def test_exits_1_with_corrupt_message(self, capsys, tmp_path,
+                                          corrupt_wal, form):
+        argv = ["serve", "replay", "--wal", corrupt_wal]
+        if form == "cluster":
+            cluster_dir = tmp_path / "cluster"
+            cluster_dir.mkdir()
+            (cluster_dir / "cluster.json").write_text(json.dumps(
+                {"shards": [{"shard_id": "shard-0", "wal": corrupt_wal}]}))
+            argv = ["serve", "replay", "--wal", str(cluster_dir),
+                    "--cluster"]
+        elif form == "store":
+            argv += ["--store", str(tmp_path / "db.sqlite")]
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert err.startswith("WAL is corrupt: ")
+        assert out == ""
+
+
 class TestObsOnStores:
     def test_obs_report_json_from_store_matches_dir(self, capsys,
                                                     tmp_path, tel_dir):

@@ -301,6 +301,22 @@ class TestSweepCommands:
         assert "merged 4 cells" in capsys.readouterr().out
         assert (out / "summary.jsonl").exists()
 
+    @pytest.mark.parametrize("keep", [0, 10])
+    def test_sweep_status_truncated_status_file(self, tmp_path, capsys,
+                                                keep):
+        # The runner rewrites sweep_status.json in place, so a status
+        # read racing the end of a sweep can find it empty or cut short.
+        out = tmp_path / "out"
+        assert main(["sweep", "run", "--preset", "smoke", str(out),
+                     "--no-merge"]) == 0
+        status_path = out / "sweep_status.json"
+        status_path.write_text(status_path.read_text()[:keep])
+        capsys.readouterr()
+        assert main(["sweep", "status", str(out)]) == 0
+        status_text = capsys.readouterr().out
+        assert "4/4 cells (100%)" in status_text
+        assert "last run: unreadable sweep_status.json" in status_text
+
     def test_sweep_status_non_sweep_dir(self, tmp_path, capsys):
         assert main(["sweep", "status", str(tmp_path)]) == 2
         assert "sweep_manifest.json" in capsys.readouterr().err
