@@ -60,35 +60,5 @@ lazy_exports(__name__, {
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ClientAgent",
-    "Device",
-    "DeviceCategory",
-    "MeasurementReport",
-    "MeasurementTask",
-    "MeasurementType",
-    "ChangeAlert",
-    "EpochEstimate",
-    "EpochEstimator",
-    "MeasurementCoordinator",
-    "MeasurementScheduler",
-    "SampleBudgetPlanner",
-    "WiScapeConfig",
-    "ZoneRecord",
-    "ZoneRecordStore",
-    "estimate_zones",
-    "DatasetGenerator",
-    "TraceRecord",
-    "GeoPoint",
-    "Zone",
-    "ZoneGrid",
-    "MeasurementChannel",
-    "Landscape",
-    "LinkState",
-    "NetworkId",
-    "build_landscape",
-    "football_game_event",
-    "EventEngine",
-    "SimClock",
-    "__version__",
-]
+#: ``lazy_exports`` set ``__all__`` from the table above.
+__all__.append("__version__")

@@ -4,9 +4,10 @@ Python runs every parent package's ``__init__`` before it imports a
 submodule, so a package that re-exported its submodules eagerly made
 ``import repro.serve.server`` load numpy, the radio model and the
 simulator along the way.  A package built with :func:`lazy_exports`
-keeps its ``__all__`` and its public names, but imports the submodule
-that defines a name only when that name is first read (the PEP 562
-``__getattr__``/``__dir__`` protocol, implemented on the module's type).
+keeps its public names, and takes its ``__all__`` from the same export
+table, but imports the submodule that defines a name only when that
+name is first read (the PEP 562 ``__getattr__``/``__dir__`` protocol,
+implemented on the module's type).
 
 The type also keeps one eager-import guarantee the hooks alone cannot:
 an export that shares its defining submodule's name, such as
@@ -59,8 +60,9 @@ def lazy_exports(
     """Make ``package`` re-export ``exports`` lazily.
 
     ``exports`` maps a submodule name, relative to ``package``, to the
-    names it defines that the package re-exports.  Call it from the
-    package's ``__init__`` as ``lazy_exports(__name__, {...})``.
+    names it defines that the package re-exports; they become the
+    package's ``__all__``, in table order.  Call it from the package's
+    ``__init__`` as ``lazy_exports(__name__, {...})``.
     """
     module = sys.modules[package]
     module._lazy_sources = {
@@ -68,4 +70,5 @@ def lazy_exports(
         for submodule, names in exports.items()
         for name in names
     }
+    module.__all__ = list(module._lazy_sources)
     module.__class__ = LazyPackage

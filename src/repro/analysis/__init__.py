@@ -17,13 +17,3 @@ lazy_exports(__name__, {
         "zone_throughput_map",
     ),
 })
-
-__all__ = [
-    "TextTable",
-    "relstd_cdf_by_radius",
-    "speed_latency_analysis",
-    "wiscape_error_cdf",
-    "zone_throughput_map",
-    "select_representative_spot",
-    "spot_flatness",
-]

@@ -34,20 +34,3 @@ lazy_exports(__name__, {
         "variable_zone_report",
     ),
 })
-
-__all__ = [
-    "WebPage",
-    "surge_page_pool",
-    "website_bundle",
-    "WELL_KNOWN_SITES",
-    "BestZoneSelector",
-    "FixedSelector",
-    "MultiSimClient",
-    "RoundRobinSelector",
-    "ZonePerformanceMap",
-    "MarGateway",
-    "MarRunResult",
-    "SurgeAlert",
-    "detect_latency_surges",
-    "variable_zone_report",
-]

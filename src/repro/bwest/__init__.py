@@ -16,5 +16,3 @@ lazy_exports(__name__, {
     "pathload": ("PathloadEstimator",),
     "wbest": ("WBestEstimator",),
 })
-
-__all__ = ["PathloadEstimator", "WBestEstimator"]

@@ -17,17 +17,3 @@ lazy_exports(__name__, {
     "energy": ("EnergyMeter", "RadioEnergyModel"),
     "normalize": ("CategoryNormalizer", "CategoryObservation"),
 })
-
-__all__ = [
-    "Device",
-    "DeviceCategory",
-    "default_profile",
-    "MeasurementReport",
-    "MeasurementTask",
-    "MeasurementType",
-    "ClientAgent",
-    "EnergyMeter",
-    "RadioEnergyModel",
-    "CategoryNormalizer",
-    "CategoryObservation",
-]

@@ -36,25 +36,3 @@ lazy_exports(__name__, {
     "validation": ("ReportValidator", "ValidationLimits"),
     "dominance": ("DominanceResult", "dominant_network"),
 })
-
-__all__ = [
-    "WiScapeConfig",
-    "ChangeAlert",
-    "EpochEstimate",
-    "MetricKey",
-    "ZoneRecord",
-    "ZoneRecordStore",
-    "EpochEstimator",
-    "SampleBudgetPlanner",
-    "MeasurementScheduler",
-    "MeasurementCoordinator",
-    "ZoneEstimate",
-    "estimate_zones",
-    "DominanceResult",
-    "dominant_network",
-    "export_published",
-    "load_performance_map",
-    "save_published",
-    "ReportValidator",
-    "ValidationLimits",
-]

@@ -17,14 +17,3 @@ lazy_exports(__name__, {
     "generator": ("DatasetGenerator",),
     "catalog": ("DATASET_CATALOG", "DatasetSpec"),
 })
-
-__all__ = [
-    "TraceRecord",
-    "read_csv",
-    "read_jsonl",
-    "write_csv",
-    "write_jsonl",
-    "DatasetGenerator",
-    "DATASET_CATALOG",
-    "DatasetSpec",
-]

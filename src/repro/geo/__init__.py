@@ -34,25 +34,3 @@ lazy_exports(__name__, {
     ),
     "zones": ("Zone", "ZoneGrid", "ZoneId"),
 })
-
-__all__ = [
-    "EARTH_RADIUS_M",
-    "GeoPoint",
-    "LocalProjection",
-    "destination_point",
-    "haversine_m",
-    "initial_bearing_deg",
-    "interpolate",
-    "path_length_m",
-    "resample_path",
-    "Zone",
-    "ZoneGrid",
-    "ZoneId",
-    "Region",
-    "RoadStretch",
-    "StudyArea",
-    "madison_study_area",
-    "madison_chicago_road",
-    "new_jersey_spots",
-    "short_segment_road",
-]

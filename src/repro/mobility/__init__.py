@@ -21,18 +21,3 @@ lazy_exports(__name__, {
     "vehicles": ("Car", "IntercityBus", "TransitBus", "VehicleBase"),
     "gps": ("GpsFix", "GpsReader"),
 })
-
-__all__ = [
-    "MovementModel",
-    "ProximateLoop",
-    "RouteFollower",
-    "StaticPosition",
-    "Route",
-    "city_bus_routes",
-    "Car",
-    "IntercityBus",
-    "TransitBus",
-    "VehicleBase",
-    "GpsFix",
-    "GpsReader",
-]

@@ -21,15 +21,3 @@ lazy_exports(__name__, {
         "UdpTrainResult",
     ),
 })
-
-__all__ = [
-    "PacketRecord",
-    "goodput_bps",
-    "ipdv_jitter_s",
-    "loss_rate",
-    "summarize_rtts",
-    "MeasurementChannel",
-    "PingResult",
-    "TcpDownloadResult",
-    "UdpTrainResult",
-]

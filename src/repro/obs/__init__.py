@@ -86,59 +86,3 @@ lazy_exports(__name__, {
     ),
     "tracing": ("NULL_TRACER", "NullTracer", "SpanStats", "SpanTracer"),
 })
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_REGISTRY",
-    "DEFAULT_BUCKETS",
-    "SpanStats",
-    "SpanTracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "EventLog",
-    "NullEventLog",
-    "NULL_EVENT_LOG",
-    "SCHEMA_VERSION",
-    "read_events",
-    "RunManifest",
-    "config_hash",
-    "Telemetry",
-    "NULL_TELEMETRY",
-    "get_telemetry",
-    "set_telemetry",
-    "use_telemetry",
-    "METRICS_FILENAME",
-    "EVENTS_FILENAME",
-    "SPANS_FILENAME",
-    "MANIFEST_FILENAME",
-    "load_artifacts",
-    "render_report",
-    "render_report_from_dir",
-    "render_live",
-    "DEFAULT_CAPACITY",
-    "read_jsonl_tolerant",
-    "quantile_from_snapshot",
-    "SnapshotStreamer",
-    "SNAPSHOTS_FILENAME",
-    "SNAPSHOT_SCHEMA_VERSION",
-    "read_snapshots",
-    "AlertRule",
-    "AlertEngine",
-    "load_rules",
-    "parse_rules",
-    "SloPolicy",
-    "SloTracker",
-    "default_slo_rules",
-    "PromFileWriter",
-    "MetricsHTTPServer",
-    "PROM_FILENAME",
-    "render_prometheus",
-    "build_summary",
-    "summary_from_dir",
-    "render_watch",
-    "render_diff",
-]

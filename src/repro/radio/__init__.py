@@ -32,22 +32,3 @@ lazy_exports(__name__, {
         "build_landscape",
     ),
 })
-
-__all__ = [
-    "EVDO_REV_A",
-    "HSPA",
-    "NetworkId",
-    "RadioTechnology",
-    "BaseStation",
-    "place_base_stations",
-    "SpatialField",
-    "TemporalProcess",
-    "TemporalParams",
-    "LoadEvent",
-    "football_game_event",
-    "CellularNetwork",
-    "Landscape",
-    "LinkState",
-    "NetworkParams",
-    "build_landscape",
-]

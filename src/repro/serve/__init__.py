@@ -53,37 +53,3 @@ lazy_exports(__name__, {
         "WireError",
     ),
 })
-
-__all__ = [
-    "PROTOCOL_VERSION",
-    "MAX_FRAME_BYTES",
-    "CODEC_JSON",
-    "CODEC_BINARY",
-    "SUPPORTED_CODECS",
-    "WireError",
-    "FrameTooLargeError",
-    "TruncatedFrameError",
-    "ProtocolError",
-    "VersionMismatchError",
-    "WriteAheadLog",
-    "WalCorruptionError",
-    "CoordinatorServer",
-    "ServeConfig",
-    "build_coordinator",
-    "replay_wal",
-    "ServeSession",
-    "ServedClient",
-    "DriverStats",
-    "Redirected",
-    "LoadgenConfig",
-    "LoadgenResult",
-    "run_loadgen",
-    "run_loadgen_sync",
-    "ShardInfo",
-    "ShardMap",
-    "GatewayConfig",
-    "GatewayServer",
-    "ClusterConfig",
-    "LocalCluster",
-    "replay_cluster",
-]

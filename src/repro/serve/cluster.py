@@ -311,27 +311,16 @@ class LocalCluster:
         from repro.serve.wal import iter_wal_records
 
         assert self.shard_map is not None
-        batch_size = self.config.drain_batch_size
-        by_owner: Dict[str, List[Dict[str, Any]]] = {}
+        groups, _ = self.shard_map.partition(iter_wal_records(wal_dir))
         total = 0
-        for record in iter_wal_records(wal_dir):
-            owner = self.shard_map.owner_for_position(
-                float(record["lat"]), float(record["lon"])
-            )
-            if owner is None:
-                continue
-            by_owner.setdefault(owner.shard_id, []).append(record)
-        for owner_id, records in sorted(by_owner.items()):
-            info = self.shard_map.shard(owner_id)
-            if info is None:
-                continue
-            total += await self._send_records(info, records, batch_size)
+        for info, records in groups.items():
+            total += await self._send_records(info, records)
         return total
 
     async def _send_records(self, info: ShardInfo,
-                            records: List[Dict[str, Any]],
-                            batch_size: int) -> int:
+                            records: List[Dict[str, Any]]) -> int:
         """Batch-send drained records to one shard; follow redirects."""
+        batch_size = self.config.drain_batch_size
         sent = 0
         try:
             async with ServeSession(info.host, info.port,
@@ -353,21 +342,9 @@ class LocalCluster:
                         self.shard_map = smap
                         if self.gateway is not None:
                             self.gateway.set_shard_map(smap)
-                        regrouped: Dict[str, List[Dict[str, Any]]] = {}
-                        for record in bounced:
-                            owner = smap.owner_for_position(
-                                float(record["lat"]), float(record["lon"])
-                            )
-                            if owner is not None:
-                                regrouped.setdefault(
-                                    owner.shard_id, []
-                                ).append(record)
-                        for owner_id, rest in sorted(regrouped.items()):
-                            target = smap.shard(owner_id)
-                            if target is not None:
-                                sent += await self._send_records(
-                                    target, rest, batch_size
-                                )
+                        regrouped, _ = smap.partition(bounced)
+                        for target, rest in regrouped.items():
+                            sent += await self._send_records(target, rest)
         except (WireError, ConnectionError, OSError):
             #: The target died mid-drain.  Chunks already delivered sit
             #: in its WAL and its own death handler re-drains them; the

@@ -317,10 +317,8 @@ class ServeSession:
         if self._writer is None:
             return
         try:
-            self._writer.write(encode_frame({"type": "BYE"},
-                                            self.max_frame_bytes))
-            await self._writer.drain()
-            await read_frame(self._reader, self.max_frame_bytes)
+            await self._send_frame({"type": "BYE"})
+            await read_frame(self._reader, self.max_frame_bytes, self.codec)
         except (WireError, ConnectionError, RuntimeError):
             pass
         finally:

@@ -31,14 +31,16 @@ from repro.serve.wire import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
-    VersionMismatchError,
     WireError,
+    check_hello,
     encode_frame,
+    position,
     read_frame,
+    reply_ids,
+    report_payloads,
 )
 
 __all__ = ["GatewayConfig", "GatewayServer"]
-
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ class GatewayServer:
             )
             if hello is None:
                 return
-            self._check_hello(hello)
+            check_hello(hello)
             self.metrics.counter("cluster.sessions_total").inc()
             welcome: Dict[str, Any] = {
                 "type": "WELCOME",
@@ -143,9 +145,7 @@ class GatewayServer:
                 "max_frame_bytes": cfg.max_frame_bytes,
             }
             if self.shard_map is not None:
-                welcome["shard_map_version"] = self.shard_map.version
-                if hello.get("shard_map_version") != self.shard_map.version:
-                    welcome["shard_map"] = self.shard_map.to_wire()
+                welcome.update(self.shard_map.welcome_fields(hello))
             self._send(writer, welcome)
             await writer.drain()
             await self._session_loop(reader, writer)
@@ -166,19 +166,6 @@ class GatewayServer:
             except Exception:
                 pass
 
-    @staticmethod
-    def _check_hello(hello: Dict[str, Any]) -> None:
-        """Validate the HELLO frame (typed errors only)."""
-        if hello.get("type") != "HELLO":
-            raise ProtocolError(f"expected HELLO, got {hello.get('type')!r}")
-        if hello.get("v") != PROTOCOL_VERSION:
-            raise VersionMismatchError(
-                f"gateway speaks v{PROTOCOL_VERSION}, client sent "
-                f"v{hello.get('v')!r}"
-            )
-        if not hello.get("client_id"):
-            raise ProtocolError("HELLO without client_id")
-
     async def _session_loop(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -192,16 +179,13 @@ class GatewayServer:
                 return
             kind = message["type"]
             if kind == "POLL":
-                self._steer(writer, self._position(message, "POLL"),
+                self._steer(writer, position(message, "POLL"),
                             {"seq": message.get("seq")})
-            elif kind == "REPORT":
-                payload = message.get("report")
-                if not isinstance(payload, dict):
-                    raise ProtocolError("REPORT without a report object")
-                self._steer(writer, self._position(payload, "REPORT"),
-                            {"task_id": payload.get("task_id")})
-            elif kind == "REPORT_BATCH":
-                self._steer_batch(writer, message)
+            elif kind == "REPORT" or kind == "REPORT_BATCH":
+                #: A whole batch goes to its first report's owner.
+                payloads, seq_lo = report_payloads(message)
+                self._steer(writer, position(payloads[0], "REPORT"),
+                            reply_ids(payloads, seq_lo))
             elif kind == "STATS":
                 await self._on_stats(writer)
             elif kind == "PING":
@@ -219,19 +203,11 @@ class GatewayServer:
 
     # -- steering --------------------------------------------------------
 
-    @staticmethod
-    def _position(obj: Dict[str, Any], what: str):
-        """(lat, lon) of a POLL or report (typed error when malformed)."""
-        try:
-            return float(obj["lat"]), float(obj["lon"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed {what} payload: {exc}") from None
-
-    def _steer(self, writer: asyncio.StreamWriter, position,
+    def _steer(self, writer: asyncio.StreamWriter, latlon,
                extra: Dict[str, Any]) -> None:
         """Answer a data-plane frame with REDIRECT (or RETRY if no map)."""
         smap = self.shard_map
-        owner = (smap.owner_for_position(*position)
+        owner = (smap.owner_for_position(*latlon)
                  if smap is not None else None)
         if owner is None:
             #: Empty/absent map — every shard down (or not yet up).
@@ -244,34 +220,9 @@ class GatewayServer:
             self._send(writer, reply)
             return
         self.metrics.counter("cluster.redirects").inc()
-        reply = {
-            "type": "REDIRECT",
-            "shard_id": owner.shard_id,
-            "host": owner.host,
-            "port": owner.port,
-            "map_version": smap.version,
-            "shard_map": smap.to_wire(),
-        }
+        reply = smap.redirect(owner)
         reply.update(extra)
         self._send(writer, reply)
-
-    def _steer_batch(self, writer: asyncio.StreamWriter,
-                     message: Dict[str, Any]) -> None:
-        """REDIRECT a whole REPORT_BATCH to its first report's owner."""
-        reports = message.get("reports")
-        if not isinstance(reports, list) or not reports:
-            raise ProtocolError("REPORT_BATCH without a reports list")
-        try:
-            seq_lo = int(message["seq_lo"])
-        except (KeyError, TypeError, ValueError):
-            raise ProtocolError("REPORT_BATCH without integer seq_lo") \
-                from None
-        first = reports[0]
-        if not isinstance(first, dict):
-            raise ProtocolError("REPORT_BATCH carries a non-object report")
-        self._steer(writer, self._position(first, "REPORT"),
-                    {"seq_lo": seq_lo,
-                     "seq_hi": seq_lo + len(reports) - 1})
 
     # -- STATS fan-out ---------------------------------------------------
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.serve.driver import ServeSession
-from repro.serve.shardmap import ShardMap
+from repro.serve.shardmap import ShardInfo, ShardMap
 from repro.serve.wire import WireError
 
 __all__ = [
@@ -53,10 +53,11 @@ class LoadgenConfig:
     reports_per_client: int = 10
     #: Concurrently open sessions (bounds fd usage on both ends).
     concurrency: int = 64
-    #: Reconnect budget per report when the server goes away mid-run
-    #: (the kill/restart smoke leans on this).
+    #: Retry rounds per window of reports: redirected, unowned and
+    #: connection-lost reports are resent this many more times before
+    #: the client gives up (the kill/restart smokes lean on this).
     max_reconnects: int = 30
-    #: Delay between reconnect attempts.
+    #: Delay before every retry round.
     reconnect_delay_s: float = 0.2
     #: Session codec to negotiate ("json" or "binary").  "json" offers
     #: nothing in HELLO — the PR-5 handshake, byte-for-byte.
@@ -67,7 +68,8 @@ class LoadgenConfig:
     #: Cluster mode: ``host``/``port`` point at the *gateway*; clients
     #: fetch the shard map from its WELCOME, open sessions to the
     #: owning shards directly, and follow REDIRECTs when the map moves
-    #: mid-run (the kill-a-shard smoke leans on this).
+    #: mid-run (the kill-a-shard smoke leans on this).  Without it the
+    #: same routed loop sends everything to ``host``/``port``.
     cluster: bool = False
     #: Added to every client index (ids, report streams) so parallel
     #: loadgen worker processes drive disjoint deterministic clients.
@@ -150,90 +152,6 @@ def synthetic_report(client_index: int, seq: int) -> Dict[str, Any]:
     }
 
 
-async def _run_one_client(
-    cfg: LoadgenConfig,
-    index: int,
-    result: LoadgenResult,
-    latencies: List[float],
-) -> None:
-    """One session: connect (with retries), push every report, close."""
-    loop_time = asyncio.get_running_loop().time
-    gindex = cfg.client_offset + index
-    session: Optional[ServeSession] = None
-    reconnects = 0
-
-    async def connect() -> ServeSession:
-        nonlocal reconnects
-        attempt = 0
-        while True:
-            s = ServeSession(
-                cfg.host, cfg.port,
-                client_id=f"load-{gindex:05d}",
-                networks=[_NETWORKS[gindex % len(_NETWORKS)]],
-                codecs=[cfg.codec] if cfg.codec != "json" else None,
-            )
-            try:
-                await s.open()
-                return s
-            except (WireError, ConnectionError, OSError):
-                await s.close()
-                attempt += 1
-                if attempt > cfg.max_reconnects:
-                    raise
-                reconnects += 1
-                await asyncio.sleep(cfg.reconnect_delay_s)
-
-    settled = 0  # reports this client ACKed or explicitly gave up on
-    batch = max(1, cfg.batch_size)
-    try:
-        session = await connect()
-        for lo in range(0, cfg.reports_per_client, batch):
-            seqs = range(lo, min(lo + batch, cfg.reports_per_client))
-            payloads = [synthetic_report(gindex, seq) for seq in seqs]
-            result.reports_sent += len(payloads)
-            acked = False
-            for _ in range(cfg.max_reconnects + 1):
-                try:
-                    sent_at = loop_time()
-                    if batch > 1:
-                        ack = await session.send_report_batch(payloads)
-                        n_acc = int(ack.get("accepted", 0))
-                        n_rej = int(ack.get("rejected", 0))
-                    else:
-                        ack = await session.send_report(payloads[0])
-                        n_acc = 1 if ack.get("accepted") else 0
-                        n_rej = 1 - n_acc
-                    latency = loop_time() - sent_at
-                    latencies.extend([latency] * len(payloads))
-                    result.retries += int(ack.get("_retries", 0))
-                    result.reports_acked += n_acc
-                    result.reports_rejected += n_rej
-                    acked = True
-                    break
-                except (WireError, ConnectionError, OSError):
-                    #: Server went away mid-report (e.g. the smoke
-                    #: test's kill).  The report(s) may or may not have
-                    #: made the WAL; resending is safe for throughput
-                    #: accounting and the recovery comparison replays
-                    #: whatever the WAL durably holds.
-                    await session.close()
-                    session = await connect()
-            if not acked:
-                result.reports_dropped += len(payloads)
-            settled += len(payloads)
-        result.sessions_completed += 1
-    except (WireError, ConnectionError, OSError) as exc:
-        result.sessions_failed += 1
-        result.errors.append(f"client {gindex}: {exc}")
-        #: Everything this client never got an answer for counts as
-        #: dropped — the zero-drop acceptance criterion must see it.
-        result.reports_dropped += cfg.reports_per_client - settled
-    finally:
-        result.reconnects += reconnects
-        if session is not None:
-            await session.close()
-
-
 async def _fetch_cluster_map(cfg: LoadgenConfig) -> ShardMap:
     """The gateway's current shard map, via a throwaway HELLO."""
     session = ServeSession(cfg.host, cfg.port, client_id="loadgen-map",
@@ -248,136 +166,142 @@ async def _fetch_cluster_map(cfg: LoadgenConfig) -> ShardMap:
         await session.close()
 
 
-async def _run_one_cluster_client(
+class _Router:
+    """Where a run's reports go, shared by every client of the run.
+
+    Single-node mode routes everything to the one configured endpoint.
+    Cluster mode routes by the gateway's :class:`ShardMap`: one fetch
+    serves every client until a REDIRECT replaces the map or a lost
+    connection (or an unowned report) sends the next round back to the
+    gateway for a fresh one.
+    """
+
+    def __init__(self, cfg: LoadgenConfig):
+        self.cfg = cfg
+        self.endpoint = (None if cfg.cluster
+                         else ShardInfo("", cfg.host, cfg.port))
+        self.map: Optional[ShardMap] = None
+
+    async def partition(self, payloads: List[Dict[str, Any]]):
+        """``(groups by endpoint, unroutable)`` for this round."""
+        if self.endpoint is not None:
+            return {self.endpoint: payloads}, []
+        if self.map is None:
+            self.map = await _fetch_cluster_map(self.cfg)
+        groups, unowned = self.map.partition(payloads)
+        if unowned:
+            self.map = None
+        return groups, unowned
+
+    def adopt(self, redirect: Dict[str, Any]) -> None:
+        """Take the map a REDIRECT carried (refetch if it is malformed)."""
+        try:
+            self.map = ShardMap.from_wire(redirect.get("shard_map"))
+        except WireError:
+            self.map = None
+
+
+async def _send(session: ServeSession, group: List[Dict[str, Any]],
+                one_report_frames: bool) -> Dict[str, Any]:
+    """Send one group; the ``send_report_batch`` summary shape."""
+    if not one_report_frames:
+        return await session.send_report_batch(group)
+    ack = await session.send_report(group[0])
+    accepted = 1 if ack.get("accepted") else 0
+    return {"accepted": accepted, "rejected": 1 - accepted,
+            "_retries": ack.get("_retries", 0)}
+
+
+async def _run_one_client(
     cfg: LoadgenConfig,
     index: int,
     result: LoadgenResult,
     latencies: List[float],
-    holder: Dict[str, Any],
+    router: _Router,
 ) -> None:
-    """One cluster session set: route each batch to its owning shard.
+    """One client: push every report window by window, routed per round.
 
-    ``holder`` shares the latest :class:`ShardMap` across all clients
-    of this run (one gateway fetch amortizes over everyone).  The
-    routing loop is: partition the window's payloads by owner, send
-    each group down a per-shard session, and on REDIRECT (stale map) or
-    connection loss (dead shard) adopt/refetch the map and re-route the
-    unsettled remainder — up to the reconnect budget, after which the
-    leftovers count as dropped.
+    Each round partitions the window's unsettled reports by endpoint
+    and sends each group down that endpoint's session.  Only settled
+    (ACKed or validator-rejected) reports are counted, with one latency
+    sample each.  Redirected, unowned and connection-lost reports wait
+    ``reconnect_delay_s`` and go again, for at most ``max_reconnects``
+    more rounds; a window still unsettled then ends the client, and all
+    of its unsettled reports count as dropped.
     """
     loop_time = asyncio.get_running_loop().time
     gindex = cfg.client_offset + index
-    sessions: Dict[str, ServeSession] = {}
-    reconnects = 0
-
-    async def current_map(refetch: bool = False) -> ShardMap:
-        nonlocal reconnects
-        if refetch or holder.get("map") is None:
-            attempt = 0
-            while True:
-                try:
-                    holder["map"] = await _fetch_cluster_map(cfg)
-                    break
-                except (WireError, ConnectionError, OSError):
-                    attempt += 1
-                    if attempt > cfg.max_reconnects:
-                        raise
-                    reconnects += 1
-                    await asyncio.sleep(cfg.reconnect_delay_s)
-        return holder["map"]
-
-    async def shard_session(info) -> ServeSession:
-        s = sessions.get(info.shard_id)
-        if s is not None:
-            return s
-        s = ServeSession(
-            info.host, info.port,
-            client_id=f"load-{gindex:05d}",
-            networks=[_NETWORKS[gindex % len(_NETWORKS)]],
-            codecs=[cfg.codec] if cfg.codec != "json" else None,
-        )
-        await s.open()
-        sessions[info.shard_id] = s
-        return s
-
-    async def drop_session(shard_id: str) -> None:
-        s = sessions.pop(shard_id, None)
-        if s is not None:
-            await s.close()
-
-    def adopt(map_wire: Any) -> None:
-        """Adopt a REDIRECT-carried map (ignore a malformed one)."""
-        try:
-            holder["map"] = ShardMap.from_wire(map_wire)
-        except WireError:
-            holder["map"] = None
-
-    settled = 0
     batch = max(1, cfg.batch_size)
+    #: Single-node batch size 1 keeps the one-REPORT-one-ACK exchange.
+    one_report_frames = router.endpoint is not None and batch == 1
+    session_args = dict(client_id=f"load-{gindex:05d}",
+                        networks=[_NETWORKS[gindex % len(_NETWORKS)]],
+                        codecs=[cfg.codec] if cfg.codec != "json" else None)
+    sessions: Dict[ShardInfo, ServeSession] = {}
+    settled = 0
+    error: Optional[Exception] = None
     try:
         for lo in range(0, cfg.reports_per_client, batch):
-            seqs = range(lo, min(lo + batch, cfg.reports_per_client))
-            payloads = [synthetic_report(gindex, seq) for seq in seqs]
-            result.reports_sent += len(payloads)
-            pending = payloads
-            attempts = 0
-            while pending and attempts <= cfg.max_reconnects:
-                smap = await current_map(refetch=attempts > 0)
-                groups: Dict[str, List[Dict[str, Any]]] = {}
-                unowned: List[Dict[str, Any]] = []
-                for p in pending:
-                    owner = smap.owner_for_position(p["lat"], p["lon"])
-                    if owner is None:
-                        unowned.append(p)
-                    else:
-                        groups.setdefault(owner.shard_id, []).append(p)
-                next_pending = list(unowned)
-                for shard_id in sorted(groups):
-                    group = groups[shard_id]
-                    info = smap.shard(shard_id)
+            pending = [synthetic_report(gindex, seq) for seq in
+                       range(lo, min(lo + batch, cfg.reports_per_client))]
+            result.reports_sent += len(pending)
+            for round_ in range(cfg.max_reconnects + 1):
+                if round_:
+                    await asyncio.sleep(cfg.reconnect_delay_s)
+                try:
+                    groups, pending = await router.partition(pending)
+                except (WireError, ConnectionError, OSError) as exc:
+                    error = exc
+                    result.reconnects += 1
+                    continue
+                for endpoint, group in groups.items():
                     try:
-                        s = await shard_session(info)
+                        session = sessions.get(endpoint)
+                        if session is None:
+                            session = sessions[endpoint] = ServeSession(
+                                endpoint.host, endpoint.port, **session_args
+                            )
+                            await session.open()
                         sent_at = loop_time()
-                        summary = await s.send_report_batch(group)
-                        latency = loop_time() - sent_at
-                        latencies.extend([latency] * len(group))
-                        result.retries += int(summary.get("_retries", 0))
-                        result.reports_acked += int(
-                            summary.get("accepted", 0)
-                        )
-                        result.reports_rejected += int(
-                            summary.get("rejected", 0)
-                        )
-                        bounced = summary.get("redirected")
-                        if bounced:
-                            adopt(summary["redirect"].get("shard_map"))
-                            next_pending.extend(bounced)
-                    except (WireError, ConnectionError, OSError):
-                        #: Shard gone (or session wedged): re-route the
-                        #: whole group after a map refresh.  Resends may
-                        #: duplicate reports the dead shard already
-                        #: WAL-logged — the drain re-delivers those, and
-                        #: live and replayed state stay consistent.
-                        await drop_session(shard_id)
-                        next_pending.extend(group)
-                        holder["map"] = None
-                        reconnects += 1
-                        await asyncio.sleep(cfg.reconnect_delay_s)
-                if next_pending:
-                    attempts += 1
-                pending = next_pending
+                        summary = await _send(session, group,
+                                              one_report_frames)
+                    except (WireError, ConnectionError, OSError) as exc:
+                        #: Endpoint gone (a killed server or shard): the
+                        #: group may or may not be in its WAL.  Resending
+                        #: is safe; the WAL replay, or the cluster's
+                        #: drain, sees whatever was durably staged.
+                        error = exc
+                        result.reconnects += 1
+                        await sessions.pop(endpoint).close()
+                        router.map = None
+                        pending.extend(group)
+                        continue
+                    done = summary["accepted"] + summary["rejected"]
+                    latencies.extend([loop_time() - sent_at] * done)
+                    settled += done
+                    result.reports_acked += summary["accepted"]
+                    result.reports_rejected += summary["rejected"]
+                    result.retries += int(summary["_retries"])
+                    if summary.get("redirected"):
+                        router.adopt(summary["redirect"])
+                        pending.extend(summary["redirected"])
+                if not pending:
+                    break
             if pending:
-                result.reports_dropped += len(pending)
-            settled += len(payloads)
-        result.sessions_completed += 1
-    except (WireError, ConnectionError, OSError) as exc:
-        result.sessions_failed += 1
-        result.errors.append(f"client {gindex}: {exc}")
-        result.reports_dropped += cfg.reports_per_client - settled
+                break
     finally:
-        result.reconnects += reconnects
-        for shard_id in list(sessions):
-            await drop_session(shard_id)
+        for session in sessions.values():
+            await session.close()
+    dropped = cfg.reports_per_client - settled
+    if dropped:
+        result.sessions_failed += 1
+        result.reports_dropped += dropped
+        result.errors.append(
+            f"client {gindex}: {dropped} report(s) unsettled after "
+            f"{cfg.max_reconnects} retry rounds (last error: {error})"
+        )
+    else:
+        result.sessions_completed += 1
 
 
 async def run_loadgen(cfg: LoadgenConfig) -> LoadgenResult:
@@ -386,16 +310,11 @@ async def run_loadgen(cfg: LoadgenConfig) -> LoadgenResult:
     latencies: List[float] = []
     semaphore = asyncio.Semaphore(max(1, cfg.concurrency))
     loop_time = asyncio.get_running_loop().time
-
-    holder: Dict[str, Any] = {"map": None}
+    router = _Router(cfg)
 
     async def guarded(index: int) -> None:
         async with semaphore:
-            if cfg.cluster:
-                await _run_one_cluster_client(cfg, index, result,
-                                              latencies, holder)
-            else:
-                await _run_one_client(cfg, index, result, latencies)
+            await _run_one_client(cfg, index, result, latencies, router)
 
     started = loop_time()
     await asyncio.gather(*(guarded(i) for i in range(cfg.clients)))

@@ -87,11 +87,14 @@ from repro.serve.wire import (
     PROTOCOL_VERSION,
     SUPPORTED_CODECS,
     ProtocolError,
-    VersionMismatchError,
     WireError,
+    check_hello,
     encode_frame,
+    position,
     read_frame,
+    reply_ids,
     report_from_wire,
+    report_payloads,
     task_to_wire,
 )
 
@@ -404,19 +407,7 @@ class CoordinatorServer:
         )
         if hello is None:
             return None
-        if hello.get("type") != "HELLO":
-            raise ProtocolError(
-                f"expected HELLO, got {hello.get('type')!r}"
-            )
-        version = hello.get("v")
-        if version != PROTOCOL_VERSION:
-            raise VersionMismatchError(
-                f"server speaks v{PROTOCOL_VERSION}, client sent "
-                f"v{version!r}"
-            )
-        client_id = str(hello.get("client_id") or "")
-        if not client_id:
-            raise ProtocolError("HELLO without client_id")
+        client_id = check_hello(hello)
         #: Codec negotiation: first client-offered codec the server
         #: speaks wins; a HELLO without "codecs" (every PR-5 client)
         #: stays on canonical JSON.
@@ -450,12 +441,7 @@ class CoordinatorServer:
         if cfg.shard_id:
             welcome["shard_id"] = cfg.shard_id
         if self.shard_map is not None:
-            #: Shard-map negotiation: the version always rides WELCOME;
-            #: the full map only when the client's cached version
-            #: (HELLO ``shard_map_version``) is absent or stale.
-            welcome["shard_map_version"] = self.shard_map.version
-            if hello.get("shard_map_version") != self.shard_map.version:
-                welcome["shard_map"] = self.shard_map.to_wire()
+            welcome.update(self.shard_map.welcome_fields(hello))
         self._send(writer, welcome)
         await writer.drain()
         session.codec = codec
@@ -474,10 +460,8 @@ class CoordinatorServer:
                 return  # peer closed between frames
             self.metrics.counter("serve.frames_rx").inc()
             kind = message["type"]
-            if kind == "REPORT":
-                self._on_report(session, message)
-            elif kind == "REPORT_BATCH":
-                self._on_report_batch(session, message)
+            if kind == "REPORT" or kind == "REPORT_BATCH":
+                self._admit(session, *report_payloads(message))
             elif kind == "POLL":
                 self._on_poll(session, message)
             elif kind == "PING":
@@ -515,14 +499,7 @@ class CoordinatorServer:
         owner = self.shard_map.owner_of(zone)
         if owner is None or owner.shard_id == self.config.shard_id:
             return None
-        return {
-            "type": "REDIRECT",
-            "shard_id": owner.shard_id,
-            "host": owner.host,
-            "port": owner.port,
-            "map_version": self.shard_map.version,
-            "shard_map": self.shard_map.to_wire(),
-        }
+        return self.shard_map.redirect(owner)
 
     def _on_map_update(
         self, session: _Session, message: Dict[str, Any]
@@ -542,41 +519,7 @@ class CoordinatorServer:
                    {"type": "MAP_ACK", "map_version": smap.version},
                    session.codec)
 
-    def _on_report(self, session: _Session, message: Dict[str, Any]) -> None:
-        """Admit one REPORT: a batch of one whose replies name its task."""
-        payload = message.get("report")
-        if not isinstance(payload, dict):
-            raise ProtocolError("REPORT without a report object")
-        self._admit(session, [payload], None)
-
-    def _on_report_batch(
-        self, session: _Session, message: Dict[str, Any]
-    ) -> None:
-        """Admit a REPORT_BATCH whose replies name seq ranges."""
-        reports = message.get("reports")
-        if not isinstance(reports, list) or not reports:
-            raise ProtocolError("REPORT_BATCH without a reports list")
-        try:
-            seq_lo = int(message["seq_lo"])
-        except (KeyError, TypeError, ValueError):
-            raise ProtocolError("REPORT_BATCH without integer seq_lo") \
-                from None
-        self._admit(session, reports, seq_lo)
-
-    @staticmethod
-    def _reply_ids(payloads: List[Dict[str, Any]], seq_lo: Optional[int],
-                   offset: int = 0) -> Dict[str, Any]:
-        """The fields naming ``payloads[offset:]`` in a reply frame.
-
-        A single REPORT (``seq_lo`` None) is named by its ``task_id``;
-        a REPORT_BATCH by the ``seq_lo..seq_hi`` range.
-        """
-        if seq_lo is None:
-            return {"task_id": payloads[offset].get("task_id")}
-        return {"seq_lo": seq_lo + offset,
-                "seq_hi": seq_lo + len(payloads) - 1}
-
-    def _admit(self, session: _Session, payloads: List[Any],
+    def _admit(self, session: _Session, payloads: List[Dict[str, Any]],
                seq_lo: Optional[int]) -> None:
         """Admit reports up to the report-level budget.
 
@@ -588,12 +531,7 @@ class CoordinatorServer:
         that does not fit gets one RETRY naming it — the client resends
         exactly those.
         """
-        parsed = []
-        for payload in payloads:
-            if not isinstance(payload, dict):
-                raise ProtocolError("REPORT_BATCH carries a non-object "
-                                    "report")
-            parsed.append(report_from_wire(payload))
+        parsed = [report_from_wire(payload) for payload in payloads]
         if self.config.shard_id and self.shard_map is not None:
             #: Ownership is all-or-nothing per frame: one foreign zone
             #: redirects the whole frame (nothing is admitted), keeping
@@ -603,7 +541,7 @@ class CoordinatorServer:
             for report in parsed:
                 redirect = self._redirect_for_zone(zone_of(report.point))
                 if redirect is not None:
-                    redirect.update(self._reply_ids(payloads, seq_lo))
+                    redirect.update(reply_ids(payloads, seq_lo))
                     self.metrics.counter("serve.redirects").inc()
                     self._send(session.writer, redirect, session.codec)
                     return
@@ -632,7 +570,7 @@ class CoordinatorServer:
             self._send(session.writer, {
                 "type": "RETRY",
                 "retry_after_s": self.config.retry_after_s,
-                **self._reply_ids(payloads, seq_lo, admitted),
+                **reply_ids(payloads, seq_lo, admitted),
             }, session.codec)
 
     def _on_poll(self, session: _Session, message: Dict[str, Any]) -> None:
@@ -643,13 +581,7 @@ class CoordinatorServer:
         the client reconnects its polling to the named owner.
         """
         if self.config.shard_id and self.shard_map is not None:
-            try:
-                point = GeoPoint(float(message["lat"]),
-                                 float(message["lon"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    f"malformed POLL payload: {exc}"
-                ) from None
+            point = GeoPoint(*position(message, "POLL"))
             redirect = self._redirect_for_zone(
                 self.coordinator.grid.zone_id_for(point)
             )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.geo.coords import GeoPoint
 from repro.geo.zones import ZoneGrid
@@ -138,6 +138,24 @@ class ShardMap:
         """Owner of the zone containing a position (None on empty map)."""
         return self.owner_of(self.zone_for(lat, lon))
 
+    def partition(self, payloads: Iterable[Dict[str, Any]]
+                  ) -> Tuple[Dict[ShardInfo, List[Dict[str, Any]]],
+                             List[Dict[str, Any]]]:
+        """Group wire reports by owning shard: ``(groups, unowned)``.
+
+        ``groups`` maps each owner, in shard-id order, to its reports in
+        input order; ``unowned`` holds the reports no shard owns, which
+        happens only on an empty map.
+        """
+        groups: Dict[ShardInfo, List[Dict[str, Any]]] = {
+            s: [] for s in self.shards
+        }
+        unowned: List[Dict[str, Any]] = []
+        for p in payloads:
+            owner = self.owner_for_position(float(p["lat"]), float(p["lon"]))
+            (unowned if owner is None else groups[owner]).append(p)
+        return {s: g for s, g in groups.items() if g}, unowned
+
     # -- membership edits (return new maps; a ShardMap never mutates) ----
 
     def without(self, shard_id: str) -> "ShardMap":
@@ -166,6 +184,32 @@ class ShardMap:
                 "radius_m": self.radius_m,
             },
         }
+
+    def redirect(self, owner: ShardInfo) -> Dict[str, Any]:
+        """The REDIRECT frame naming ``owner`` and carrying this map.
+
+        One frame both bounces a misrouted request and refreshes the
+        sender's map; the caller adds the fields naming the request.
+        """
+        return {
+            "type": "REDIRECT",
+            "shard_id": owner.shard_id,
+            "host": owner.host,
+            "port": owner.port,
+            "map_version": self.version,
+            "shard_map": self.to_wire(),
+        }
+
+    def welcome_fields(self, hello: Dict[str, Any]) -> Dict[str, Any]:
+        """The map keys a WELCOME answering ``hello`` carries.
+
+        The version always; the full map only when the HELLO's cached
+        ``shard_map_version`` is absent or stale.
+        """
+        fields: Dict[str, Any] = {"shard_map_version": self.version}
+        if hello.get("shard_map_version") != self.version:
+            fields["shard_map"] = self.to_wire()
+        return fields
 
     @classmethod
     def from_wire(cls, data: Any) -> "ShardMap":

@@ -65,7 +65,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clients.protocol import (
     MeasurementReport,
@@ -91,6 +91,10 @@ __all__ = [
     "encode_frame",
     "decode_payload",
     "read_frame",
+    "check_hello",
+    "report_payloads",
+    "reply_ids",
+    "position",
     "task_to_wire",
     "task_from_wire",
     "report_to_wire",
@@ -243,6 +247,76 @@ async def read_frame(
             f"EOF after {len(exc.partial)} of {length} payload bytes"
         ) from None
     return decode_payload(payload, codec)
+
+
+# -- frame checks shared by the coordinator server and the gateway -----------
+
+
+def check_hello(hello: Dict[str, Any]) -> str:
+    """Validate a session's first frame; returns its ``client_id``.
+
+    Raises :class:`ProtocolError` for a frame that is not HELLO or has
+    no ``client_id``, and :class:`VersionMismatchError` for a protocol
+    version this build does not speak.
+    """
+    if hello.get("type") != "HELLO":
+        raise ProtocolError(f"expected HELLO, got {hello.get('type')!r}")
+    if hello.get("v") != PROTOCOL_VERSION:
+        raise VersionMismatchError(
+            f"this end speaks v{PROTOCOL_VERSION}, client sent "
+            f"v{hello.get('v')!r}"
+        )
+    client_id = str(hello.get("client_id") or "")
+    if not client_id:
+        raise ProtocolError("HELLO without client_id")
+    return client_id
+
+
+def report_payloads(
+    message: Dict[str, Any],
+) -> Tuple[List[Dict[str, Any]], Optional[int]]:
+    """``(payloads, seq_lo)`` of a REPORT or REPORT_BATCH frame.
+
+    A REPORT is a batch of one whose ``seq_lo`` is None.  Raises
+    :class:`ProtocolError` for a REPORT without a report object, a
+    REPORT_BATCH without a non-empty reports list or an integer
+    ``seq_lo``, and a batch carrying a non-object report.
+    """
+    if message.get("type") == "REPORT":
+        payload = message.get("report")
+        if not isinstance(payload, dict):
+            raise ProtocolError("REPORT without a report object")
+        return [payload], None
+    reports = message.get("reports")
+    if not isinstance(reports, list) or not reports:
+        raise ProtocolError("REPORT_BATCH without a reports list")
+    try:
+        seq_lo = int(message["seq_lo"])
+    except (KeyError, TypeError, ValueError):
+        raise ProtocolError("REPORT_BATCH without integer seq_lo") from None
+    if not all(isinstance(p, dict) for p in reports):
+        raise ProtocolError("REPORT_BATCH carries a non-object report")
+    return reports, seq_lo
+
+
+def reply_ids(payloads: List[Dict[str, Any]], seq_lo: Optional[int],
+              offset: int = 0) -> Dict[str, Any]:
+    """The fields naming ``payloads[offset:]`` in a reply frame.
+
+    A single REPORT (``seq_lo`` None) is named by its ``task_id``; a
+    REPORT_BATCH by the ``seq_lo..seq_hi`` range.
+    """
+    if seq_lo is None:
+        return {"task_id": payloads[offset].get("task_id")}
+    return {"seq_lo": seq_lo + offset, "seq_hi": seq_lo + len(payloads) - 1}
+
+
+def position(obj: Dict[str, Any], what: str) -> Tuple[float, float]:
+    """A POLL's or report's ``(lat, lon)`` (:class:`ProtocolError` if bad)."""
+    try:
+        return float(obj["lat"]), float(obj["lon"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed {what} payload: {exc}") from None
 
 
 # -- the binary codec --------------------------------------------------------

@@ -13,14 +13,3 @@ lazy_exports(__name__, {
     "engine": ("Event", "EventEngine", "StopSimulation"),
     "rng": ("RngStreams", "derive_seed"),
 })
-
-__all__ = [
-    "SimClock",
-    "SimTime",
-    "format_sim_time",
-    "Event",
-    "EventEngine",
-    "StopSimulation",
-    "RngStreams",
-    "derive_seed",
-]

@@ -31,19 +31,3 @@ lazy_exports(__name__, {
     ),
     "sampling": ("estimation_error", "min_samples_for_accuracy"),
 })
-
-__all__ = [
-    "allan_deviation",
-    "allan_deviation_profile",
-    "optimal_averaging_time",
-    "pearson_correlation",
-    "EmpiricalCDF",
-    "cdf_points",
-    "empirical_pmf",
-    "entropy",
-    "kl_divergence",
-    "nkld",
-    "nkld_from_samples",
-    "estimation_error",
-    "min_samples_for_accuracy",
-]

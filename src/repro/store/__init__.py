@@ -75,46 +75,3 @@ lazy_exports(__name__, {
         "ingest_reports",
     ),
 })
-
-__all__ = [
-    "CompactResult",
-    "CoverageRow",
-    "DEFAULT_STORE_FILENAME",
-    "ImportResult",
-    "RetentionPolicy",
-    "RunInfo",
-    "SCHEMA_VERSION",
-    "SchemaError",
-    "StoreError",
-    "alert_history",
-    "apply_migrations",
-    "apply_retention",
-    "classify_source",
-    "compact",
-    "compare_runs",
-    "connect",
-    "coverage",
-    "create_run",
-    "drop_run",
-    "import_any",
-    "import_sweep_root",
-    "import_telemetry_dir",
-    "import_wal",
-    "ingest_reports",
-    "integrity_check",
-    "is_store_path",
-    "list_runs",
-    "logical_dump",
-    "merged_metrics",
-    "metrics_snapshot",
-    "recalibrate_events",
-    "render_report_from_store",
-    "replay_snapshot",
-    "resolve_run",
-    "resolve_store_path",
-    "slo_attainment",
-    "store_stats",
-    "summary_from_store",
-    "summary_model",
-    "transaction",
-]

@@ -31,26 +31,3 @@ lazy_exports(__name__, {
         "scenario_names",
     ),
 })
-
-__all__ = [
-    "SweepCell",
-    "SweepGrid",
-    "SweepManifest",
-    "SweepRunner",
-    "SweepResult",
-    "WorkerContext",
-    "MergeResult",
-    "merge_cells",
-    "load_summary",
-    "pick_start_method",
-    "scenario",
-    "get_scenario",
-    "scenario_names",
-    "preset_grid",
-    "preset_names",
-    "SWEEP_MANIFEST_FILENAME",
-    "SUMMARY_FILENAME",
-    "STATUS_FILENAME",
-    "CELLS_DIRNAME",
-    "CELL_FILENAME",
-]

@@ -96,6 +96,22 @@ class TestCodecNegotiation:
 
         serve_scenario(scenario, codecs=("json",))
 
+    def test_binary_session_close_is_not_a_protocol_error(self):
+        """BYE and its answer travel in the negotiated codec."""
+
+        async def scenario(server):
+            session = ServeSession("127.0.0.1", server.port, client_id="c",
+                                   networks=["NetA"], codecs=[CODEC_BINARY])
+            await session.open()
+            assert session.codec == CODEC_BINARY
+            await session.close()
+            assert server.metrics.counter_value(
+                "serve.protocol_errors") == 0
+            assert server.metrics.counter_value(
+                "serve.error.bad-frame") == 0
+
+        serve_scenario(scenario)
+
 
 class TestBatchIngest:
     def test_batch_gets_one_range_ack(self):

@@ -9,17 +9,20 @@ across a restart, and the cross-shard snapshot merge.
 """
 
 import asyncio
+import json
 import os
 import tempfile
 
 import pytest
 
 from repro.obs.metrics import merge_snapshots
+from repro.serve.cluster import ClusterConfig, LocalCluster
 from repro.serve.driver import Redirected, ServeSession
 from repro.serve.gateway import GatewayConfig, GatewayServer
-from repro.serve.loadgen import synthetic_report
+from repro.serve.loadgen import LoadgenConfig, run_loadgen, synthetic_report
 from repro.serve.server import CoordinatorServer, ServeConfig, replay_wal
 from repro.serve.shardmap import ShardInfo, ShardMap
+from repro.serve.wal import WriteAheadLog, iter_wal_records
 from repro.serve.wire import PROTOCOL_VERSION, encode_frame, read_frame
 
 ANCHOR = (43.0731, -89.4012)
@@ -49,6 +52,10 @@ def report_at(lat, lon, seq=0):
     payload = synthetic_report(0, seq)
     payload["lat"], payload["lon"] = lat, lon
     return payload
+
+
+def canonical(record):
+    return json.dumps(record, sort_keys=True)
 
 
 def shard_fold(per_shard):
@@ -406,6 +413,136 @@ class TestGateway:
         assert reply["coordinator"] == shard_fold({"shard-0": shard_snapshot})
         assert reply["shards"]["shard-0"]["sessions_active"] >= 0
         assert reply["cluster"]["counters"]["cluster.stats_fanouts"] == 1
+
+
+def shard_pair_scenario(scenario, tmp):
+    """Run ``scenario(servers, smap)`` against two WAL-backed shards.
+
+    Both shards hold the map {shard-a, shard-b} naming their real
+    ports; returns ``(result, {shard_id: WAL records})`` once both
+    have stopped.
+    """
+
+    async def body():
+        servers = {}
+        try:
+            for shard_id in ("shard-a", "shard-b"):
+                server = CoordinatorServer(
+                    ServeConfig(shard_id=shard_id),
+                    wal_dir=os.path.join(tmp, shard_id),
+                )
+                await server.start()
+                servers[shard_id] = server
+            smap = ShardMap([ShardInfo(shard_id, "127.0.0.1", server.port)
+                             for shard_id, server in servers.items()],
+                            *ANCHOR)
+            for server in servers.values():
+                server.shard_map = smap
+            return await scenario(servers, smap), smap
+        finally:
+            for server in servers.values():
+                await server.stop()
+
+    result, smap = asyncio.run(body())
+    wals = {shard_id: list(iter_wal_records(os.path.join(tmp, shard_id)))
+            for shard_id in ("shard-a", "shard-b")}
+    for shard_id, records in wals.items():
+        #: Each shard's WAL holds only zones it owns.
+        for r in records:
+            assert smap.owner_for_position(r["lat"], r["lon"]).shard_id \
+                == shard_id
+    return result, wals
+
+
+class TestLoadgenRouting:
+    def test_follows_redirects_from_a_stale_gateway_map(self, tmp_path):
+        """The gateway names only shard-a; shard-a redirects the rest."""
+
+        async def scenario(servers, smap):
+            stale = ShardMap([smap.shard("shard-a")], *ANCHOR)
+            gateway = GatewayServer(GatewayConfig(), shard_map=stale)
+            await gateway.start()
+            try:
+                result = await run_loadgen(LoadgenConfig(
+                    port=gateway.port, clients=4, reports_per_client=12,
+                    concurrency=4, batch_size=4, cluster=True,
+                    reconnect_delay_s=0.01,
+                ))
+            finally:
+                await gateway.stop()
+            return result, servers["shard-a"].metrics.counter_value(
+                "serve.redirects")
+
+        (result, redirects), wals = shard_pair_scenario(scenario,
+                                                        str(tmp_path))
+        assert result.reports_dropped == 0
+        assert result.sessions_failed == 0
+        assert result.reports_acked == result.reports_sent == 48
+        assert redirects > 0
+        assert len(wals["shard-a"]) + len(wals["shard-b"]) == 48
+        assert wals["shard-b"]
+
+    def test_empty_map_waits_before_every_retry_round(self):
+        """Every shard down: each round refetches after the delay."""
+        empty = ShardMap([], *ANCHOR)
+
+        async def scenario(gateway):
+            return await run_loadgen(LoadgenConfig(
+                port=gateway.port, clients=1, reports_per_client=1,
+                cluster=True, max_reconnects=3, reconnect_delay_s=0.1,
+            ))
+
+        result = gateway_scenario(scenario, empty)
+        assert result.reports_dropped == 1
+        assert result.sessions_failed == 1
+        assert len(result.errors) == 1
+        assert result.elapsed_s >= 0.3
+
+
+class TestDrain:
+    REPORTS = [synthetic_report(i % 5, i) for i in range(60)]
+
+    def drain(self, tmp, supervisor_map):
+        """Drain a 60-record WAL through a supervisor holding a map.
+
+        Checks that every record reached its owner exactly once;
+        returns the drained count and whether the supervisor ended on
+        the shards' map.
+        """
+        dead_wal = os.path.join(tmp, "dead")
+        with WriteAheadLog(dead_wal) as wal:
+            wal.write_meta({"seed": 7, "gen_seed": 1, "radius_m": 250.0})
+            wal.append_many(self.REPORTS)
+
+        async def scenario(servers, smap):
+            cluster = LocalCluster(ClusterConfig(cluster_dir=tmp,
+                                                 drain_batch_size=16))
+            cluster.shard_map = supervisor_map(smap)
+            drained = await cluster._drain_wal(dead_wal)
+            return drained, cluster.shard_map.version == smap.version
+
+        (drained, on_shard_map), wals = shard_pair_scenario(scenario, tmp)
+        assert wals["shard-a"] and wals["shard-b"]
+        #: Every record reached exactly one shard (its owner, checked by
+        #: shard_pair_scenario).
+        delivered = [r for records in wals.values() for r in records]
+        assert sorted(map(canonical, delivered)) == \
+            sorted(map(canonical, self.REPORTS))
+        return drained, on_shard_map
+
+    def test_records_reach_their_owners(self, tmp_path):
+        drained, _ = self.drain(str(tmp_path), lambda smap: smap)
+        assert drained == len(self.REPORTS)
+
+    def test_redirect_from_a_newer_map_regroups(self, tmp_path):
+        """The supervisor's map names only shard-a; shard-a knows both."""
+        drained, on_shard_map = self.drain(
+            str(tmp_path),
+            lambda smap: ShardMap([smap.shard("shard-a")], *ANCHOR),
+        )
+        assert drained == len(self.REPORTS)
+        #: The supervisor adopted the map the REDIRECT carried.
+        assert on_shard_map
 
 
 class TestAggregateSnapshots:

@@ -6,13 +6,16 @@ TCP::
     server #1 (subprocess) --SIGKILL mid-run--> server #2 (same port,
         same WAL) --loadgen rides over the restart--> verify
 
-and asserts the two properties the serve subsystem promises:
+and asserts the three properties the serve subsystem promises:
 
 * **zero dropped reports** — the 50-client loadgen finishes with every
   report ACKed, its reconnect-and-resend logic riding over the kill;
 * **byte-identical recovery** — after the run quiesces, the restarted
   server's coordinator registry (fetched over the wire via STATS)
-  matches an offline ``repro serve replay`` of the WAL exactly.
+  matches an offline ``repro serve replay`` of the WAL exactly;
+* **clean sessions** — the restarted server's ``serve`` registry counts
+  no protocol error (every loadgen session ends with a BYE the server
+  can decode, whatever the codec).
 
 Run from the repo root::
 
@@ -29,8 +32,9 @@ for both.
 behind a gateway, one shard SIGKILLed mid-run.  The assertions shift to
 the cluster promises — zero drops *cluster-wide* (clients re-route via
 REDIRECT/map refresh rather than waiting for a restart), the dead
-shard's WAL drained into the survivors, and the gateway's aggregated
-STATS byte-identical to an offline ``repro serve replay --cluster``.
+shard's WAL drained into the survivors, the gateway's aggregated
+STATS byte-identical to an offline ``repro serve replay --cluster``,
+and no protocol error on any surviving shard.
 """
 
 from __future__ import annotations
@@ -96,16 +100,29 @@ def wal_bytes(wal_dir: str) -> int:
     return sum(os.path.getsize(p) for p in wal_segments(wal_dir))
 
 
-def fetch_coordinator_snapshot(port: int) -> dict:
-    """The server's coordinator metrics registry, over the wire."""
+def fetch_stats(port: int) -> dict:
+    """A server's (or the gateway's) STATS_REPLY, over the wire."""
 
     async def body():
         async with ServeSession("127.0.0.1", port, client_id="smoke-stats",
                                 networks=[]) as session:
-            reply = await session.stats()
-            return reply["coordinator"]
+            return await session.stats()
 
     return asyncio.run(body())
+
+
+def protocol_error_failures(name: str, serve_registry: dict) -> list:
+    """A failure line when a server counted any protocol error.
+
+    Loadgen sessions end with BYE in their own codec, so a clean run
+    leaves ``serve.protocol_errors`` at 0 on every server.
+    """
+    errors = serve_registry.get("counters", {}).get(
+        "serve.protocol_errors", 0
+    )
+    if errors:
+        return [f"{name} counted {errors:.0f} protocol error(s)"]
+    return []
 
 
 def offline_replay_snapshot(wal_dir: str) -> dict:
@@ -249,7 +266,14 @@ def cluster_main(args) -> int:
             failures.append("kill did not interrupt any client "
                             "(smoke raced past the rebalance)")
 
-        live = fetch_coordinator_snapshot(gw_port)
+        stats = fetch_stats(gw_port)
+        live = stats["coordinator"]
+        for shard_id, shard in sorted(stats["shards"].items()):
+            failures += protocol_error_failures(shard_id, shard["serve"])
+        if sorted(stats["shards"]) != sorted(
+                s["shard_id"] for s in manifest["shards"]):
+            failures.append(f"STATS reached shards {sorted(stats['shards'])}"
+                            f", not every survivor")
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=30.0)
 
@@ -359,7 +383,9 @@ def main() -> int:
             failures.append("kill did not interrupt any session "
                             "(smoke raced past the restart)")
 
-        live = fetch_coordinator_snapshot(port)
+        stats = fetch_stats(port)
+        live = stats["coordinator"]
+        failures += protocol_error_failures("server #2", stats["serve"])
         proc2.send_signal(signal.SIGINT)
         proc2.wait(timeout=30.0)
 
