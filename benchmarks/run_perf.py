@@ -75,6 +75,26 @@ def _time(fn, repeat=5, warmup=1):
     return best
 
 
+def _time_rounds(fns, repeat, warmup=1):
+    """Best-of-N wall time of each of ``fns``, timed in interleaved rounds.
+
+    For headline numbers that are *ratios*: each round runs every
+    function once, so a machine-wide slow spell inflates all sides
+    instead of whichever block happened to run during it, and the
+    best-of minima are drawn from the same quiet windows.
+    """
+    for _ in range(warmup):
+        for fn in fns:
+            fn()
+    best = [float("inf")] * len(fns)
+    for _ in range(repeat):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
 def bench_link_state(landscape, points):
     net = NetworkId.NET_B
     t = 500.0
@@ -97,21 +117,9 @@ def bench_link_state(landscape, points):
     run_cached()
     run_cached()
 
-    # The headline number is a *ratio*, so the paths are timed in
-    # interleaved rounds: a machine-wide slow spell then inflates both
-    # sides instead of whichever block happened to run during it, and
-    # the best-of minima are drawn from the same quiet windows.
-    scalar_s = batch_s = cached_s = float("inf")
-    for _ in range(12):
-        t0 = time.perf_counter()
-        run_scalar()
-        scalar_s = min(scalar_s, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_batch()
-        batch_s = min(batch_s, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_cached()
-        cached_s = min(cached_s, time.perf_counter() - t0)
+    scalar_s, batch_s, cached_s = _time_rounds(
+        [run_scalar, run_batch, run_cached], repeat=12, warmup=0
+    )
 
     per_point_scalar = scalar_s / len(scalar_pts)
     scalar_10k = per_point_scalar * N_POINTS
@@ -162,9 +170,9 @@ def bench_udp(landscape, point):
             [point] * N_TRAINS, novel_times(), n_packets=TRAIN_PACKETS
         )
 
-    ref_s = _time(run_ref, repeat=3)
-    scalar_s = _time(run_scalar, repeat=3)
-    batch_s = _time(run_batch, repeat=3)
+    ref_s, scalar_s, batch_s = _time_rounds(
+        [run_ref, run_scalar, run_batch], repeat=3
+    )
     return {
         "reference_per_train_us": ref_s / N_TRAINS * 1e6,
         "scalar_per_train_us": scalar_s / N_TRAINS * 1e6,

@@ -9,6 +9,7 @@ the alert/SLO pipeline.  Each handler imports the simulation itself.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 from pathlib import Path
 from typing import Tuple
@@ -209,8 +210,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
     config = None
     if args.epoch_mins is not None:
-        if args.epoch_mins <= 0:
-            raise CommandError("--epoch-mins must be positive")
+        if not (math.isfinite(args.epoch_mins) and args.epoch_mins > 0):
+            raise CommandError("--epoch-mins must be a positive finite number")
         epoch_s = args.epoch_mins * 60.0
         defaults = WiScapeConfig()
         config = WiScapeConfig(

@@ -6,9 +6,12 @@ the zone's current epoch duration and sample budget, and the alerts the
 paper's >2-sigma change rule raises (section 3.4).
 
 Per-sample state is packed doubles (``array("d")``, 8 B a sample; a
-float object in a list costs 32 B): a served coordinator never closes
-epochs, so every sample it accepts stays here for the life of the
-process (DESIGN.md section 10).
+float object in a list costs 32 B), and each record keeps one sample
+buffer: the stream's first ``sample_pool_cap`` samples (the NKLD pool)
+followed by the open epoch's.  Until the pool is full the two share
+their doubles, so a served coordinator, which never closes epochs and
+keeps every sample it accepts for the life of the process (DESIGN.md
+section 10), stores each sample once.
 """
 
 from __future__ import annotations
@@ -68,6 +71,12 @@ class ChangeAlert:
         return abs(self.current.mean - self.previous.mean) / self.previous.std
 
 
+def _check_epoch_s(epoch_s: float) -> None:
+    """Reject an epoch duration no epoch grid can be built on."""
+    if not (math.isfinite(epoch_s) and epoch_s > 0):
+        raise ValueError("epoch_s must be a positive finite number")
+
+
 class ZoneRecord:
     """State of one (zone, network, metric) stream."""
 
@@ -78,8 +87,7 @@ class ZoneRecord:
         sample_budget: int,
         first_epoch_start_s: float = 0.0,
     ):
-        if epoch_s <= 0:
-            raise ValueError("epoch_s must be positive")
+        _check_epoch_s(epoch_s)
         if sample_budget < 1:
             raise ValueError("sample_budget must be >= 1")
         self.key = key
@@ -87,10 +95,14 @@ class ZoneRecord:
         self.sample_budget = int(sample_budget)
         self.epoch_start_s = float(first_epoch_start_s)
         self.epoch_index = 0
-        self.open_samples = array("d")
+        #: The stream's first ``min(sample_pool_cap, total)`` samples, then
+        #: the open epoch's from ``_open_at`` on; the two overlap until the
+        #: pool is full.
+        self._buf = array("d")
+        self._open_at = 0
         self.history: List[EpochEstimate] = []
-        #: Per-packet sample pool retained for NKLD budget calibration.
-        self.sample_pool = array("d")
+        #: How many of the stream's first samples ``sample_pool`` keeps
+        #: for NKLD budget calibration.
         self.sample_pool_cap = 4000
         #: Rolling per-report series for Allan-deviation epoch selection.
         self.series_times = array("d")
@@ -103,9 +115,23 @@ class ZoneRecord:
 
     # -- accumulation -----------------------------------------------------
 
+    @property
+    def open_samples(self) -> array:
+        """A copy of the open epoch's samples, in arrival order."""
+        return self._buf[self._open_at:]
+
+    @property
+    def sample_pool(self) -> array:
+        """A copy of the stream's first ``sample_pool_cap`` samples.
+
+        This is the long-term pool the NKLD budget planner replays
+        (section 3.3); it spans epochs and is never reset.
+        """
+        return self._buf[:self.sample_pool_cap]
+
     def samples_needed(self) -> int:
         """Samples still missing from the open epoch's budget."""
-        return max(0, self.sample_budget - len(self.open_samples))
+        return max(0, self.sample_budget - (len(self._buf) - self._open_at))
 
     def add_samples(self, values: Iterable[float], at_s: float) -> None:
         """Add measurement samples to the open epoch.
@@ -114,12 +140,9 @@ class ZoneRecord:
         carry no timestamp of their own (the epoch is their time).
         """
         # NaN is the only value unequal to itself; ``v == v`` is a
-        # cheaper test than math.isnan on this per-report path.
-        finite = array("d", [v for v in values if v == v])
-        self.open_samples.extend(finite)
-        room = self.sample_pool_cap - len(self.sample_pool)
-        if room > 0:
-            self.sample_pool.extend(finite[:room])
+        # cheaper test than math.isnan on this per-report path.  The
+        # pool needs no bookkeeping: it is the buffer's head.
+        self._buf.extend(array("d", [v for v in values if v == v]))
 
     def note_measurement(self, value: float, at_s: float) -> None:
         """Record one report-level value for epoch (Allan) calibration."""
@@ -144,11 +167,12 @@ class ZoneRecord:
         if now_s < self.epoch_start_s + self.epoch_s:
             return None
         estimate: Optional[EpochEstimate] = None
-        if self.open_samples:
-            n = len(self.open_samples)
-            mean = sum(self.open_samples) / n
-            var = sum((v - mean) ** 2 for v in self.open_samples) / n
-            ordered = sorted(self.open_samples)
+        samples = self.open_samples
+        if samples:
+            n = len(samples)
+            mean = sum(samples) / n
+            var = sum((v - mean) ** 2 for v in samples) / n
+            ordered = sorted(samples)
             estimate = EpochEstimate(
                 epoch_index=self.epoch_index,
                 start_s=self.epoch_start_s,
@@ -165,7 +189,9 @@ class ZoneRecord:
         skipped = int(elapsed // self.epoch_s)
         self.epoch_start_s += skipped * self.epoch_s
         self.epoch_index += skipped
-        self.open_samples = array("d")
+        # Keep the pool, drop the closed epoch's samples beyond it.
+        del self._buf[self.sample_pool_cap:]
+        self._open_at = len(self._buf)
         return estimate
 
     # -- queries -----------------------------------------------------------
@@ -183,8 +209,7 @@ class ZoneRecord:
 
     def set_epoch_duration(self, epoch_s: float) -> None:
         """Adopt a new epoch duration starting from the next boundary."""
-        if epoch_s <= 0:
-            raise ValueError("epoch_s must be positive")
+        _check_epoch_s(epoch_s)
         self.epoch_s = float(epoch_s)
 
     def set_sample_budget(self, budget: int) -> None:
@@ -197,6 +222,7 @@ class ZoneRecordStore:
     """All the coordinator's zone records, keyed by MetricKey."""
 
     def __init__(self, default_epoch_s: float, default_budget: int):
+        _check_epoch_s(default_epoch_s)
         self.default_epoch_s = default_epoch_s
         self.default_budget = default_budget
         self._records: Dict[MetricKey, ZoneRecord] = {}

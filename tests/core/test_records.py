@@ -2,6 +2,8 @@
 
 import math
 import struct
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,32 @@ class TestEpochClose:
         est = rec.maybe_close_epoch(100.0)
         assert est.relative_std == pytest.approx(0.5)
 
+    def test_closes_retain_pool_plus_open_epoch_only(self):
+        """The pool and the open epoch never hold a sample twice over."""
+        rec = _record(epoch_s=100.0)
+        rec.sample_pool_cap = 4000
+        stream = []
+
+        def check():
+            arrays = [v for k, v in vars(rec).items()
+                      if isinstance(v, array) and not k.startswith("series")]
+            limit = rec.sample_pool_cap + len(rec.open_samples)
+            assert sum(len(a) for a in arrays) <= limit
+            # Over-allocation included, the arrays stay within a quarter.
+            assert sum(sys.getsizeof(a) for a in arrays) <= 10 * limit + 1024
+            assert list(rec.sample_pool) == stream[:rec.sample_pool_cap]
+
+        for epoch in range(20):
+            values = [epoch * 1000.0 + j for j in range(1000)]
+            rec.add_samples(values, at_s=epoch * 100.0 + 1.0)
+            stream.extend(values)
+            check()
+            est = rec.maybe_close_epoch((epoch + 1) * 100.0)
+            assert est.n_samples == 1000
+            assert est.mean == pytest.approx(epoch * 1000.0 + 499.5)
+            assert len(rec.open_samples) == 0
+            check()
+
 
 class TestMutation:
     def test_set_epoch_duration(self):
@@ -110,6 +138,17 @@ class TestMutation:
             ZoneRecord(key=KEY, epoch_s=0.0, sample_budget=10)
         with pytest.raises(ValueError):
             ZoneRecord(key=KEY, epoch_s=10.0, sample_budget=0)
+
+    @pytest.mark.parametrize("epoch_s", [math.inf, -math.inf, math.nan])
+    def test_non_finite_epoch_rejected(self, epoch_s):
+        with pytest.raises(ValueError, match="positive finite"):
+            ZoneRecord(key=KEY, epoch_s=epoch_s, sample_budget=10)
+        rec = _record()
+        with pytest.raises(ValueError, match="positive finite"):
+            rec.set_epoch_duration(epoch_s)
+        assert rec.epoch_s == 600.0
+        with pytest.raises(ValueError, match="positive finite"):
+            ZoneRecordStore(default_epoch_s=epoch_s, default_budget=10)
 
 
 class TestStore:
@@ -193,6 +232,12 @@ class ListRecord:
         self.open_samples = []
         return estimate
 
+    #: Set beside the caps by the test; read by ``samples_needed`` only.
+    sample_budget = 1
+
+    def samples_needed(self):
+        return max(0, self.sample_budget - len(self.open_samples))
+
 
 def _bits(values):
     """The exact IEEE-754 encodings: -0.0 != 0.0 and NaN == NaN here."""
@@ -210,6 +255,12 @@ def _close_bits(record, now_s):
     except OverflowError:
         return "OverflowError"
     return _estimate_bits(est)
+
+
+def _sample_bits(record):
+    """Open epoch, pool and budget shortfall of a record, as exact bits."""
+    return (_bits(record.open_samples), _bits(record.sample_pool),
+            record.samples_needed())
 
 
 def _estimate_bits(est):
@@ -245,22 +296,26 @@ class TestPackedStorageMatchesLists:
         reports,
         st.integers(min_value=1, max_value=30),   # sample pool cap
         st.integers(min_value=4, max_value=24),   # series cap
+        st.integers(min_value=1, max_value=60),   # sample budget
     )
     @settings(max_examples=200, deadline=None)
-    def test_fold_is_bit_identical(self, steps, pool_cap, series_cap):
-        rec = _record(epoch_s=300.0)
+    def test_fold_is_bit_identical(self, steps, pool_cap, series_cap, budget):
+        rec = _record(epoch_s=300.0, budget=budget)
         rec.sample_pool_cap = pool_cap
         rec.series_cap = series_cap
         ref = ListRecord(300.0, pool_cap, series_cap)
+        ref.sample_budget = budget
         now = 0.0
         for samples, value, gap in steps:
             now += gap
             assert _close_bits(rec, now) == _close_bits(ref, now)
+            assert _sample_bits(rec) == _sample_bits(ref)
             for r in (rec, ref):
                 r.add_samples(samples, at_s=now)
                 r.note_measurement(value, now)
-            assert _bits(rec.open_samples) == _bits(ref.open_samples)
+            assert _sample_bits(rec) == _sample_bits(ref)
         assert _close_bits(rec, now + 1e6) == _close_bits(ref, now + 1e6)
+        assert _sample_bits(rec) == _sample_bits(ref)
         assert [_estimate_bits(e) for e in rec.history] == \
             [_estimate_bits(e) for e in ref.history]
         assert (rec.epoch_index, rec.epoch_start_s) == \
@@ -268,6 +323,5 @@ class TestPackedStorageMatchesLists:
         # The caps bound the retained pool and series exactly as before.
         assert len(rec.sample_pool) <= pool_cap
         assert len(rec.series_times) <= series_cap
-        assert _bits(rec.sample_pool) == _bits(ref.sample_pool)
         assert _bits(rec.series_times) == _bits(ref.series_times)
         assert _bits(rec.series_values) == _bits(ref.series_values)

@@ -1,12 +1,13 @@
-"""A served coordinator retains at most 20 B of heap per accepted sample.
+"""A served coordinator retains at most 12 B of heap per accepted sample.
 
 ``repro serve run`` never ticks, so its epochs never close and every
 accepted sample stays in the zone records (DESIGN.md section 10,
-"Known gap").  Records pack samples as doubles: 8 B in the open epoch,
-8 B more while the record's 4,000-sample pool fills, and 16 B per
-report for the Allan series: about 17.6 B a sample for 10-sample
-reports while the pool fills, less once it is full.  Boxed floats in
-lists cost about 48 B.
+"Known gap").  Records pack samples as doubles, 8 B each, in one buffer
+whose head is the 4,000-sample NKLD pool: the pool shares the open
+epoch's doubles instead of copying them.  The Allan series adds 16 B
+per report, so 10-sample reports retain about 9.6 B a sample and
+50-sample reports about 8.3 B, plus array over-allocation (measured:
+9.7 and 8.6 B).  Boxed floats in lists cost about 48 B.
 
 A fresh interpreter decodes each report from its JSON bytes, as the
 server does, so no float object is shared with the test's inputs; the
@@ -22,7 +23,7 @@ import pytest
 from repro.serve.loadgen import synthetic_report
 
 #: Heap bytes per retained sample the served coordinator may grow by.
-BOUND_B = 20.0
+BOUND_B = 12.0
 #: Clients in the fleet; each reports from the same point every time, so
 #: the warm-up round creates every record the measured rounds touch.
 CLIENTS = 6

@@ -134,6 +134,14 @@ class TestLiveTelemetryFlags:
                      "--snapshot-every", "0"]) == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("minutes", ["0", "-5", "inf", "nan"])
+    def test_epoch_mins_must_be_positive_finite(self, minutes, capsys):
+        assert main(["monitor", "--hours", "0.5",
+                     "--epoch-mins", minutes]) == 2
+        err = capsys.readouterr().err
+        assert "--epoch-mins must be a positive finite number" in err
+        assert "Traceback" not in err
+
     def test_alerts_require_snapshots(self, tmp_path, capsys):
         assert main(["monitor", "--hours", "0.5",
                      "--telemetry", str(tmp_path / "t"),
