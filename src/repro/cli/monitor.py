@@ -2,8 +2,9 @@
 
 ``monitor`` runs the coordinator over a bus fleet for N sim hours;
 ``--telemetry OUT_DIR`` captures metrics/events/spans/manifest
-artifacts and ``--snapshot-every N`` streams metric snapshots through
-the alert/SLO pipeline.  Each handler imports the simulation itself.
+artifacts (``events.jsonl`` is written as the run goes) and
+``--snapshot-every N`` streams metric snapshots through the alert/SLO
+pipeline.  Each handler imports the simulation itself.
 """
 
 from __future__ import annotations
@@ -229,8 +230,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             except (OSError, ValueError, RuntimeError) as exc:
                 raise CommandError(f"cannot load alert rules: {exc}") from exc
 
-    telemetry = Telemetry() if args.telemetry else NULL_TELEMETRY
-    with use_telemetry(telemetry):
+    telemetry = (Telemetry(out_dir=args.telemetry) if args.telemetry
+                 else NULL_TELEMETRY)
+    with telemetry, use_telemetry(telemetry):
         landscape = build_landscape(
             seed=args.seed, include_road=False, include_nj=False
         )

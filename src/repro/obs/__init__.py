@@ -19,10 +19,10 @@ Typical use::
 
     from repro import obs
 
-    tel = obs.Telemetry()
-    with obs.use_telemetry(tel):
-        ...  # run the coordinator / generators
-    tel.write_artifacts("out/", manifest)
+    with obs.Telemetry(out_dir="out/") as tel:  # events.jsonl streams
+        with obs.use_telemetry(tel):
+            ...  # run the coordinator / generators
+        tel.write_artifacts("out/", manifest)
     print(obs.render_report_from_dir("out/"))
 """
 

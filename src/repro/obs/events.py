@@ -17,13 +17,17 @@ Schema (stable, versioned):
 * remaining keys — event-specific fields, JSON scalars only.
 
 Serialization uses ``sort_keys`` and a compact separator so the bytes
-of ``events.jsonl`` are a pure function of the recorded tuples.
+of ``events.jsonl`` are a pure function of the recorded tuples.  One
+serialiser, :func:`_event_line`, renders every line, whether the log
+keeps its events in memory or streams them to a file as they happen.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import shutil
 from collections import deque
 from typing import (BinaryIO, Dict, Iterable, Iterator, List, Optional,
                     Tuple, Union)
@@ -34,39 +38,78 @@ __all__ = ["SCHEMA_VERSION", "DEFAULT_CAPACITY", "EventLog", "NullEventLog",
 
 SCHEMA_VERSION = 1
 
-#: Default bound on retained events.  Live runs with snapshots enabled
-#: can emit events for hours; an unbounded log would grow without limit,
-#: so the default keeps a generous in-memory window and counts what it
-#: sheds (``dropped``, surfaced as the ``obs.events_dropped`` counter
-#: and flagged by ``repro obs report``).  Pass ``capacity=None`` for the
-#: old unbounded behavior.
+#: Default bound on events an in-memory log retains.  An unbounded log
+#: would grow without limit, so the default keeps a generous window and
+#: counts what it sheds (``dropped``, surfaced as the
+#: ``obs.events_dropped`` counter and flagged by ``repro obs report``).
+#: Pass ``capacity=None`` for an unbounded log.  A log that streams to a
+#: file retains nothing, so the bound does not apply to it.
 DEFAULT_CAPACITY = 200_000
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _event_line(record: dict) -> str:
+    """The canonical serialiser: one sorted-key compact line per event."""
+    return _ENCODER.encode(record) + "\n"
 
 
 class EventLog:
-    """In-memory ordered, bounded deque of structured events."""
+    """Ordered structured events, kept in memory or streamed to a file.
 
-    def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY):
-        """``capacity`` bounds retained events (oldest dropped), None = unbounded."""
+    By default the log keeps the newest ``capacity`` events in a deque
+    and counts the ones it sheds in :attr:`dropped`.  Given ``path``,
+    it writes each event to that file as it is emitted, in one
+    ``write()`` call, and keeps nothing: ``len()`` is 0, :meth:`events`
+    is empty and nothing is ever dropped.  The file is exactly what an
+    in-memory log given the same emits writes with :meth:`write_jsonl`.
+    Call :meth:`flush` to make the events so far visible to a reader of
+    the file, and :meth:`close` (or :meth:`write_jsonl`) when done.
+    """
+
+    def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY,
+                 path=None):
+        """``capacity`` bounds retained events (oldest dropped), None = unbounded.
+
+        ``path`` streams the events to that file instead (truncating it).
+        """
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 (or None for unbounded)")
         self._events: "deque[dict]" = deque(maxlen=capacity)
         self._seq = 0
         self.capacity = capacity
+        #: The file the log streams to (None for an in-memory log).
+        self.path = path
+        self._fh = None if path is None else open(path, "w", encoding="utf-8")
 
     @property
     def dropped(self) -> int:
-        """Events shed because of the capacity bound."""
+        """Events shed because of the capacity bound (0 when streamed)."""
+        if self._fh is not None:
+            return 0
         return self._seq - len(self._events)
 
     def emit(self, kind: str, t: float, **fields) -> None:
-        """Append one event at sim time ``t`` with flat JSON fields."""
+        """Record one event at sim time ``t`` with flat JSON fields."""
         record = {"v": SCHEMA_VERSION, "seq": self._seq, "t": float(t),
                   "kind": kind}
         self._seq += 1
         for k, v in fields.items():
             record[k] = v
-        self._events.append(record)
+        if self._fh is None:
+            self._events.append(record)
+        else:
+            self._fh.write(_event_line(record))
+
+    def flush(self) -> None:
+        """Push streamed events to the file (no-op in memory)."""
+        if self._fh is not None:
+            self._fh.flush()
+
+    def close(self) -> None:
+        """Flush and close the stream (idempotent; no-op in memory)."""
+        if self._fh is not None:
+            self._fh.close()
 
     def __len__(self) -> int:
         return len(self._events)
@@ -87,16 +130,25 @@ class EventLog:
         return out
 
     def _lines(self) -> Iterator[str]:
-        """The canonical serialiser: one sorted-key compact line per event."""
-        for e in self._events:
-            yield json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
+        """The retained events, one :func:`_event_line` each."""
+        return map(_event_line, self._events)
 
     def to_jsonl(self) -> str:
-        """Canonical JSONL rendering: one sorted-key compact line each."""
+        """Canonical JSONL rendering of the retained events."""
         return "".join(self._lines())
 
     def write_jsonl(self, path) -> None:
-        """Write :meth:`to_jsonl`'s bytes to ``path`` one line at a time."""
+        """Write the log's JSONL bytes to ``path``.
+
+        In memory: :meth:`to_jsonl`'s bytes, one line at a time.  A
+        streamed log closes its stream, then copies its file to
+        ``path`` unless that is the file it streamed to.
+        """
+        if self._fh is not None:
+            self.close()
+            if not (os.path.exists(path) and os.path.samefile(path, self.path)):
+                shutil.copyfile(self.path, path)
+            return
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(self._lines())
 
@@ -121,6 +173,12 @@ class NullEventLog:
 
     def counts_by_kind(self) -> Dict[str, int]:
         return {}
+
+    def flush(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
 
     def to_jsonl(self) -> str:
         return ""

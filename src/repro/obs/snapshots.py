@@ -143,6 +143,9 @@ class SnapshotStreamer:
             self._fh.flush()
         for subscriber in self._subscribers:
             subscriber(snap)
+        # A streamed event log reaches its file here, so a live reader
+        # sees this snapshot's events (an alert it fired) with it.
+        self.telemetry.events.flush()
         return snap
 
     def attach(self, engine, until: Optional[float] = None) -> None:

@@ -21,7 +21,11 @@ three artifacts:
 * ``spans.json``   — host-timing aggregates (NOT deterministic).
 
 plus ``manifest.json`` when a :class:`~repro.obs.manifest.RunManifest`
-is supplied.
+is supplied.  A telemetry built with ``out_dir=`` (the monitor CLI and
+each sweep cell) streams ``events.jsonl`` into that directory as events
+are emitted and keeps no event in memory; :meth:`Telemetry.write_artifacts`
+then only closes the stream.  Use it as a context manager (or call
+:meth:`Telemetry.close`) so the stream is closed on every exit path.
 """
 
 from __future__ import annotations
@@ -59,11 +63,22 @@ class Telemetry:
         tracer: Optional[SpanTracer] = None,
         events: Optional[EventLog] = None,
         enabled: bool = True,
+        out_dir=None,
     ):
+        """``out_dir`` streams the event log to ``out_dir/events.jsonl``.
+
+        The directory is created if needed; ``events`` and ``out_dir``
+        are exclusive.  A disabled telemetry ignores both.
+        """
+        if events is not None and out_dir is not None:
+            raise ValueError("pass events= or out_dir=, not both")
         self.enabled = enabled
         if enabled:
             self.metrics = metrics if metrics is not None else MetricsRegistry()
             self.tracer = tracer if tracer is not None else SpanTracer()
+            if out_dir is not None:
+                os.makedirs(out_dir, exist_ok=True)
+                events = EventLog(path=os.path.join(out_dir, EVENTS_FILENAME))
             self.events = events if events is not None else EventLog()
         else:
             self.metrics = NULL_REGISTRY
@@ -91,12 +106,23 @@ class Telemetry:
 
     # -- artifacts -------------------------------------------------------
 
+    def close(self) -> None:
+        """Close the event stream, if any (idempotent)."""
+        self.events.close()
+
+    def __enter__(self) -> "Telemetry":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
     def write_artifacts(
         self, out_dir, manifest: Optional[RunManifest] = None
     ) -> dict:
         """Write metrics.json / events.jsonl / spans.json (+ manifest).
 
-        Returns a dict mapping artifact name -> written path.
+        A streamed event log is closed here: ``events.jsonl`` is already
+        on disk.  Returns a dict mapping artifact name -> written path.
         """
         os.makedirs(out_dir, exist_ok=True)
         paths = {}

@@ -77,6 +77,7 @@ from repro.core.controller import MeasurementCoordinator
 from repro.clients.protocol import MeasurementTask, MeasurementType
 from repro.geo.coords import GeoPoint
 from repro.geo.zones import ZoneGrid
+from repro.obs.events import NULL_EVENT_LOG
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.serve import wire
@@ -162,14 +163,18 @@ def build_coordinator(
     replay path must call this identically to reach identical state.
     ``seed`` is kept in the signature (and the WAL metadata) because the
     grid anchor may become seed-dependent; today only the grid radius
-    and the coordinator's generator seed matter.
+    and the coordinator's generator seed matter.  The coordinator keeps
+    metrics but no event log: nothing reads a served coordinator's
+    events, and a retained ``report.reject`` per rejected report would
+    grow the server's heap with every bad report.
     """
     from repro.geo.regions import madison_study_area
 
     del seed  # reserved: the study-area anchor is fixed today
     grid = ZoneGrid(madison_study_area().anchor, radius_m=radius_m)
     return MeasurementCoordinator(
-        grid, config=config, seed=gen_seed, telemetry=Telemetry()
+        grid, config=config, seed=gen_seed,
+        telemetry=Telemetry(events=NULL_EVENT_LOG),
     )
 
 

@@ -99,7 +99,8 @@ def run_cell(cell: SweepCell, ctx, out_dir: str) -> Dict[str, Any]:
 
     Installs a fresh ambient :class:`~repro.obs.telemetry.Telemetry`
     for the duration of the scenario, then writes ``cell.json`` plus the
-    telemetry artifacts under ``out_dir/cells/<cell_id>/``.  Exceptions
+    telemetry artifacts under ``out_dir/cells/<cell_id>/``; the cell's
+    ``events.jsonl`` is streamed there as the scenario runs.  Exceptions
     are captured into a ``status: error`` cell record — they never
     propagate out of a worker.
 
@@ -112,30 +113,30 @@ def run_cell(cell: SweepCell, ctx, out_dir: str) -> Dict[str, Any]:
     os.makedirs(cell_dir, exist_ok=True)
     record: Dict[str, Any] = dict(cell.to_dict(), cell_id=cell.cell_id)
     ctx.cell_dir = cell_dir
-    telemetry = Telemetry()
-    #: The cap is run configuration (identical on every worker), so the
-    #: gauge is schedule-independent and safe in deterministic artifacts;
-    #: live size/evictions are NOT (they depend on which cells this
-    #: worker ran) and go only to sweep_status.json.
-    cache_max = getattr(ctx, "cache_max", None)
-    if cache_max is not None:
-        telemetry.metrics.gauge("sweep.context_cache_max").set(cache_max)
-    try:
-        fn = get_scenario(cell.scenario)
-        with use_telemetry(telemetry):
-            metrics = fn(cell, ctx)
-        record["status"] = "ok"
-        record["metrics"] = metrics if metrics is not None else {}
-    except Exception as exc:
-        record["status"] = "error"
-        record["error"] = f"{type(exc).__name__}: {exc}"
-        record["metrics"] = {}
-        with open(os.path.join(cell_dir, "traceback.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(traceback.format_exc())
-    finally:
-        ctx.cell_dir = None
-    telemetry.write_artifacts(cell_dir)
+    with Telemetry(out_dir=cell_dir) as telemetry:
+        #: The cap is run configuration (identical on every worker), so
+        #: the gauge is schedule-independent and safe in deterministic
+        #: artifacts; live size/evictions are NOT (they depend on which
+        #: cells this worker ran) and go only to sweep_status.json.
+        cache_max = getattr(ctx, "cache_max", None)
+        if cache_max is not None:
+            telemetry.metrics.gauge("sweep.context_cache_max").set(cache_max)
+        try:
+            fn = get_scenario(cell.scenario)
+            with use_telemetry(telemetry):
+                metrics = fn(cell, ctx)
+            record["status"] = "ok"
+            record["metrics"] = metrics if metrics is not None else {}
+        except Exception as exc:
+            record["status"] = "error"
+            record["error"] = f"{type(exc).__name__}: {exc}"
+            record["metrics"] = {}
+            with open(os.path.join(cell_dir, "traceback.txt"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(traceback.format_exc())
+        finally:
+            ctx.cell_dir = None
+        telemetry.write_artifacts(cell_dir)
     _write_cell_record(cell_dir, record)
     return record
 

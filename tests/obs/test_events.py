@@ -1,6 +1,7 @@
 """Tests for the structured JSONL event log."""
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,63 @@ class TestTolerantReader:
         path = tmp_path / "events.jsonl"
         path.write_bytes(b'{"kind":"a"}\r\n\n[1]\n{"note":"\xe2\x82')
         assert read_jsonl_tolerant(path) == ([{"kind": "a"}], 2)
+
+
+_FIELD_VALUES = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=6),
+    st.lists(st.one_of(st.integers(), st.floats(allow_nan=False),
+                       st.text(max_size=4)), max_size=3),
+)
+_EMITS = st.lists(
+    st.tuples(
+        st.sampled_from(["epoch.close", "task.issue", "alert.fired", "ü.k"]),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.dictionaries(st.sampled_from(["zone", "note", "n", "a", "value"]),
+                        _FIELD_VALUES, max_size=4),
+    ),
+    max_size=30,
+)
+
+
+class TestStreamedLog:
+    """``EventLog(path=...)`` writes what the in-memory log would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(emits=_EMITS)
+    def test_file_bytes_match_in_memory_jsonl(self, tmp_path_factory, emits):
+        path = tmp_path_factory.mktemp("stream") / "events.jsonl"
+        memory, streamed = EventLog(), EventLog(path=path)
+        for kind, t, fields in emits:
+            memory.emit(kind, t, **fields)
+            streamed.emit(kind, t, **fields)
+        streamed.close()
+        assert path.read_bytes() == memory.to_jsonl().encode("utf-8")
+        assert len(streamed) == 0 and streamed.events() == []
+
+    def test_file_only_ever_holds_whole_lines(self, tmp_path):
+        """Each event is one ``write()``: a reader never sees half a line."""
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path=path)
+        with open(path, "rb") as reader:
+            for k in range(3000):
+                log.emit("task.issue", float(k), note="x" * (k % 97))
+                size = os.fstat(reader.fileno()).st_size
+                if size:
+                    assert os.pread(reader.fileno(), 1, size - 1) == b"\n"
+            log.flush()
+            assert len(reader.read().splitlines()) == 3000
+        log.close()
+
+    def test_write_jsonl_closes_or_copies(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path=path)
+        log.emit("a", 1.0)
+        log.write_jsonl(path)
+        with pytest.raises(ValueError):
+            log.emit("b", 2.0)  # the stream is closed
+        log.write_jsonl(tmp_path / "copy.jsonl")
+        assert (tmp_path / "copy.jsonl").read_bytes() == path.read_bytes()
+        log.close()  # idempotent
 
 
 class TestNullEventLog:

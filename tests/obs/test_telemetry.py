@@ -2,7 +2,9 @@
 
 import json
 
-from repro.obs.events import NULL_EVENT_LOG
+import pytest
+
+from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.telemetry import (
     EVENTS_FILENAME,
@@ -16,6 +18,7 @@ from repro.obs.telemetry import (
     use_telemetry,
 )
 from repro.obs.manifest import RunManifest
+from repro.obs.snapshots import SnapshotStreamer
 
 
 class TestBundle:
@@ -52,6 +55,53 @@ class TestBundle:
         metrics = json.loads((tmp_path / METRICS_FILENAME).read_text())
         assert metrics["counters"]["c"] == 1.0
         assert set(paths) == {"metrics", "events", "spans", "manifest"}
+
+
+class TestStreamedEvents:
+    """``Telemetry(out_dir=...)`` streams ``events.jsonl`` as it goes."""
+
+    def test_events_reach_the_file_before_write_artifacts(self, tmp_path):
+        out = tmp_path / "run"
+        with Telemetry(out_dir=out) as tel:
+            tel.emit("a", 1.0, note="x")
+            tel.events.flush()
+            assert (out / EVENTS_FILENAME).read_text() == \
+                '{"kind":"a","note":"x","seq":0,"t":1.0,"v":1}\n'
+            assert len(tel.events) == 0
+            tel.emit("b", 2.0)
+            paths = tel.write_artifacts(out)
+        assert paths["events"] == str(out / EVENTS_FILENAME)
+        assert (out / EVENTS_FILENAME).read_text().count("\n") == 2
+
+    def test_past_capacity_nothing_is_dropped(self, tmp_path):
+        tel = Telemetry(events=EventLog(capacity=2,
+                                        path=tmp_path / EVENTS_FILENAME))
+        for i in range(5):
+            tel.emit("e", float(i))
+        snap = SnapshotStreamer(tel, interval_s=1.0).capture(10.0)
+        tel.write_artifacts(tmp_path)
+        assert tel.events.dropped == 0 and len(tel.events) == 0
+        assert snap["counters"]["obs.events_dropped"] == 0
+        metrics = json.loads((tmp_path / METRICS_FILENAME).read_text())
+        assert metrics["counters"]["obs.events_dropped"] == 0
+        assert len((tmp_path / EVENTS_FILENAME).read_text().splitlines()) == 5
+
+    def test_writing_elsewhere_copies_the_stream(self, tmp_path):
+        with Telemetry(out_dir=tmp_path / "a") as tel:
+            tel.emit("a", 1.0)
+            tel.write_artifacts(tmp_path / "b")
+        assert (tmp_path / "b" / EVENTS_FILENAME).read_bytes() == \
+            (tmp_path / "a" / EVENTS_FILENAME).read_bytes()
+
+    def test_close_ends_the_stream(self, tmp_path):
+        with Telemetry(out_dir=tmp_path) as tel:
+            pass
+        with pytest.raises(ValueError):
+            tel.emit("late", 1.0)
+
+    def test_events_and_out_dir_are_exclusive(self, tmp_path):
+        with pytest.raises(ValueError):
+            Telemetry(events=EventLog(), out_dir=tmp_path)
 
 
 class TestAmbient:

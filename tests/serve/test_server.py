@@ -6,7 +6,9 @@ drives one ``asyncio.run()`` scenario end to end over loopback TCP.
 
 import asyncio
 
+from repro.core.controller import MeasurementCoordinator
 from repro.geo.zones import ZoneGrid
+from repro.obs.telemetry import Telemetry
 from repro.serve.loadgen import synthetic_report
 from repro.serve.server import (
     CoordinatorServer,
@@ -14,7 +16,12 @@ from repro.serve.server import (
     build_coordinator,
     replay_wal,
 )
-from repro.serve.wire import PROTOCOL_VERSION, encode_frame, read_frame
+from repro.serve.wire import (
+    PROTOCOL_VERSION,
+    encode_frame,
+    read_frame,
+    report_from_wire,
+)
 
 
 async def send(writer, message):
@@ -355,6 +362,29 @@ class TestSessionTraffic:
             assert server.sessions_active == 0
 
         serve_scenario(scenario)
+
+
+class TestServedEventLog:
+    """The served coordinator counts rejects but retains no events."""
+
+    N = 500
+
+    def test_rejected_reports_retain_no_events(self):
+        served = build_coordinator()
+        reference = MeasurementCoordinator(served.grid, seed=1,
+                                           telemetry=Telemetry())
+        for seq in range(self.N):
+            payload = synthetic_report(seq % 7, seq)
+            payload["value"] = 1e12  # far beyond max plausible throughput
+            payload["samples"] = []
+            for coordinator in (served, reference):
+                assert not coordinator.ingest(report_from_wire(payload))
+        assert len(reference.obs.events) == self.N
+        assert len(served.obs.events) == 0 and served.obs.events.dropped == 0
+        counters = served.metrics.snapshot()["counters"]
+        assert counters["coordinator.reports_rejected"] == self.N
+        assert any(name.startswith("validator.reject.") for name in counters)
+        assert served.metrics.to_json() == reference.metrics.to_json()
 
 
 class TestWalRecovery:

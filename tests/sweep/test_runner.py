@@ -134,6 +134,61 @@ class TestSharedLandscapes:
         assert get_scenario("ablation_scheduler").needs_landscape is True
 
 
+class _Abort(BaseException):
+    """Escapes run_cell's ``except Exception``, like a KeyboardInterrupt."""
+
+
+class TestCellEventStream:
+    """A cell's ``events.jsonl`` stream is closed on every exit path."""
+
+    def _run(self, tmp_path, monkeypatch, scenario_fn):
+        import gc
+        import warnings
+
+        from repro.obs import get_telemetry
+        from repro.sweep import runner, scenarios
+        from repro.sweep.grid import SweepCell
+
+        seen = []
+
+        def scenario(cell, ctx):
+            seen.append(get_telemetry())
+            get_telemetry().emit("cell.start", 0.0)
+            return scenario_fn(cell, ctx)
+
+        monkeypatch.setattr(scenarios, "get_scenario", lambda name: scenario)
+        cell = SweepCell("stub", 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                record = runner.run_cell(cell, scenarios.WorkerContext(),
+                                         str(tmp_path))
+            except _Abort:
+                record = None
+            telemetry = seen.pop()
+            with pytest.raises(ValueError):
+                telemetry.emit("late", 1.0)  # the stream is closed
+            del telemetry
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
+        events = tmp_path / CELLS_DIRNAME / cell.cell_id / "events.jsonl"
+        assert "cell.start" in events.read_text()
+        return record
+
+    def test_scenario_error(self, tmp_path, monkeypatch):
+        def fail(cell, ctx):
+            raise RuntimeError("scenario error")
+
+        record = self._run(tmp_path, monkeypatch, fail)
+        assert record["status"] == "error"
+
+    def test_scenario_abort(self, tmp_path, monkeypatch):
+        def abort(cell, ctx):
+            raise _Abort
+
+        assert self._run(tmp_path, monkeypatch, abort) is None
+
+
 class TestContextCache:
     def test_memo_hit_skips_rebuild(self):
         from repro.sweep.scenarios import WorkerContext

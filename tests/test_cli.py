@@ -239,6 +239,80 @@ class TestLiveTelemetryEndToEnd:
         assert "no differences" in capsys.readouterr().out
 
 
+LIVE_ARGV = ["monitor", "--buses", "2", "--hours", "1.5", "--epoch-mins", "5",
+             "--snapshot-every", "300", "--blackout", "0.25-0.75"]
+
+
+class TestStreamedEventsLive:
+    """``events.jsonl`` grows during a ``--telemetry`` run."""
+
+    def test_watch_sees_alerts_mid_run(self, tmp_path, monkeypatch):
+        import contextlib
+        import io
+
+        from repro.obs.report import render_watch
+        from repro.obs.snapshots import SnapshotStreamer
+
+        from repro.obs.events import read_jsonl_tolerant
+
+        out_dir = str(tmp_path / "tel")
+        watched, alerts_on_disk = [], []
+        capture = SnapshotStreamer.capture
+
+        def alert_times():
+            events, _ = read_jsonl_tolerant(f"{out_dir}/events.jsonl")
+            return [e["t"] for e in events if e["kind"].startswith("alert.")]
+
+        def capture_then_watch(streamer, t):
+            # What an operator polling ``obs watch`` sees once the
+            # snapshot's subscribers (the alert engine) have run.
+            snap = capture(streamer, t)
+            if snap is not None:
+                watched.append(render_watch(out_dir))
+                alerts_on_disk.append((t, alert_times()))
+            return snap
+
+        monkeypatch.setattr(SnapshotStreamer, "capture", capture_then_watch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(LIVE_ARGV + ["--telemetry", out_dir]) == 0
+        assert len(watched) >= 10
+        assert any("ALERT [" in text for text in watched[:-1])
+        assert not any("unparseable line" in text for text in watched)
+        # Each snapshot's alerts are on disk as soon as it is taken.
+        final = alert_times()
+        for t, on_disk in alerts_on_disk:
+            assert on_disk == [x for x in final if x <= t]
+
+    def test_stream_closed_when_the_run_raises(self, tmp_path, monkeypatch,
+                                               capsys):
+        import gc
+        import warnings
+
+        from repro.obs import get_telemetry
+        from repro.sim.engine import EventEngine
+
+        seen = []
+
+        def crash(engine, until=None, max_events=None):
+            seen.append(get_telemetry())
+            get_telemetry().emit("before.crash", 0.0)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(EventEngine, "run", crash)
+        out_dir = tmp_path / "tel"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(RuntimeError, match="boom"):
+                main(LIVE_ARGV + ["--telemetry", str(out_dir)])
+            telemetry = seen.pop()
+            with pytest.raises(ValueError):
+                telemetry.emit("after.crash", 1.0)  # the stream is closed
+            del telemetry
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
+        assert "before.crash" in (out_dir / "events.jsonl").read_text()
+
+
 class TestSweepCommands:
     def test_sweep_list(self, capsys):
         assert main(["sweep", "list"]) == 0
