@@ -18,12 +18,6 @@ from repro.radio.network import build_landscape
 from repro.radio.technology import NetworkId
 
 
-def pytest_configure(config):
-    # Benchmarks print paper-style tables; -s is implied by reading the
-    # benchmark output, but keep prints visible in captured logs too.
-    config.addinivalue_line("markers", "figure: paper figure reproduction")
-
-
 @pytest.fixture(scope="session")
 def landscape():
     """The full three-carrier world (city + road corridor + NJ)."""

@@ -182,33 +182,6 @@ def bench_udp(landscape, point):
     }
 
 
-def bench_ping_tcp(landscape, point):
-    def fresh(seed):
-        return MeasurementChannel(
-            landscape, NetworkId.NET_B, np.random.default_rng(seed)
-        )
-
-    landscape.warm_cache([point])
-    ping_s = _time(
-        lambda: [
-            fresh(4).ping_series(point, 100.0 * k, count=20, interval_s=1.0)
-            for k in range(20)
-        ],
-        repeat=3,
-    )
-    tcp_s = _time(
-        lambda: [
-            fresh(5).tcp_download(point, 100.0 * k, size_bytes=1_000_000)
-            for k in range(20)
-        ],
-        repeat=3,
-    )
-    return {
-        "ping_series20_us": ping_s / 20 * 1e6,
-        "tcp_download_1mb_us": tcp_s / 20 * 1e6,
-    }
-
-
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -738,8 +711,6 @@ def main():
     link = bench_link_state(landscape, points)
     print("timing udp trains ...")
     udp = bench_udp(landscape, point)
-    print("timing ping/tcp ...")
-    other = bench_ping_tcp(landscape, point)
     print("timing sharded sweep (serial vs 4 workers) ...")
     sweep = bench_sweep()
     print("timing coordinator service (1000-client loadgen, "
@@ -767,7 +738,6 @@ def main():
         "train_packets": TRAIN_PACKETS,
         "link_state": link,
         "udp_train": udp,
-        "ping_tcp": other,
         "sweep": sweep,
         "serve": serve,
         "cluster": cluster,

@@ -36,10 +36,8 @@ def _run(proximate_traces):
     return out
 
 
-def test_ablation_epoch_length(proximate_traces, benchmark):
-    results = benchmark.pedantic(
-        _run, args=(proximate_traces,), rounds=1, iterations=1
-    )
+def test_ablation_epoch_length(proximate_traces):
+    results = _run(proximate_traces)
 
     for region, (errors, selected) in results.items():
         table = TextTable(

@@ -32,10 +32,8 @@ def _run(landscape):
     )
 
 
-def test_ablation_scheduler_overhead(landscape, benchmark):
-    (b_over, b_acc), (g_over, g_acc) = benchmark.pedantic(
-        _run, args=(landscape,), rounds=1, iterations=1
-    )
+def test_ablation_scheduler_overhead(landscape):
+    (b_over, b_acc), (g_over, g_acc) = _run(landscape)
 
     table = TextTable(
         ["policy", "tasks", "MB", "Joules", "median est err (%)"],

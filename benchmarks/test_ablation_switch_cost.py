@@ -47,10 +47,8 @@ def _run(landscape, short_segment_trace):
     return rows
 
 
-def test_ablation_switch_cost(landscape, short_segment_trace, benchmark):
-    rows = benchmark.pedantic(
-        _run, args=(landscape, short_segment_trace), rounds=1, iterations=1
-    )
+def test_ablation_switch_cost(landscape, short_segment_trace):
+    rows = _run(landscape, short_segment_trace)
 
     table = TextTable(
         ["switch delay (s)", "greedy (s)", "hysteresis (s)", "best fixed (s)",

@@ -27,11 +27,8 @@ def _run(standalone_trace, origin):
     }
 
 
-def test_ablation_zone_radius(standalone_trace, landscape, benchmark):
-    results = benchmark.pedantic(
-        _run, args=(standalone_trace, landscape.study_area.anchor),
-        rounds=1, iterations=1,
-    )
+def test_ablation_zone_radius(standalone_trace, landscape):
+    results = _run(standalone_trace, landscape.study_area.anchor)
 
     table = TextTable(
         ["radius (m)", "zones seen", f"zones with {MIN_SAMPLES}+",

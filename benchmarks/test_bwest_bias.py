@@ -41,8 +41,8 @@ def _run(landscape):
     return {k: np.asarray(v) for k, v in ratios.items()}
 
 
-def test_bwest_underestimation(landscape, benchmark):
-    ratios = benchmark.pedantic(_run, args=(landscape,), rounds=1, iterations=1)
+def test_bwest_underestimation(landscape):
+    ratios = _run(landscape)
 
     table = TextTable(
         ["tool", "mean est/truth", "worst est/truth", "max under-estimation (%)"],

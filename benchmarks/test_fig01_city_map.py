@@ -13,14 +13,11 @@ from repro.geo.zones import ZoneGrid
 from repro.radio.technology import NetworkId
 
 
-def test_fig01_city_throughput_map(standalone_trace, landscape, benchmark):
+def test_fig01_city_throughput_map(standalone_trace, landscape):
     grid = ZoneGrid(landscape.study_area.anchor, radius_m=250.0)
 
-    entries = benchmark.pedantic(
-        zone_throughput_map,
-        args=(standalone_trace, grid, NetworkId.NET_B),
-        kwargs={"min_samples": 50},
-        rounds=1, iterations=1,
+    entries = zone_throughput_map(
+        standalone_trace, grid, NetworkId.NET_B, min_samples=50,
     )
 
     means = np.array([e.mean_bps for e in entries]) / 1e3

@@ -14,15 +14,10 @@ from repro.geo.zones import ZoneGrid
 from repro.radio.technology import NetworkId
 
 
-def test_fig02_speed_vs_latency(wirover_trace, landscape, benchmark):
+def test_fig02_speed_vs_latency(wirover_trace, landscape):
     grid = ZoneGrid(landscape.study_area.anchor, radius_m=250.0)
 
-    analysis = benchmark.pedantic(
-        speed_latency_analysis,
-        args=(wirover_trace, grid),
-        kwargs={"min_samples_per_zone": 20},
-        rounds=1, iterations=1,
-    )
+    analysis = speed_latency_analysis(wirover_trace, grid, min_samples_per_zone=20)
 
     speeds = np.array([s for s, _ in analysis.scatter])
     lats = np.array([l for _, l in analysis.scatter])

@@ -21,12 +21,10 @@ from repro.radio.technology import NetworkId
 RADII = [50.0, 150.0, 250.0, 350.0, 450.0, 550.0, 650.0, 750.0]
 
 
-def test_fig04_relstd_vs_zone_radius(standalone_trace, landscape, benchmark):
-    result = benchmark.pedantic(
-        relstd_cdf_by_radius,
-        args=(standalone_trace, landscape.study_area.anchor, RADII, NetworkId.NET_B),
-        kwargs={"min_samples": 100},
-        rounds=1, iterations=1,
+def test_fig04_relstd_vs_zone_radius(standalone_trace, landscape):
+    result = relstd_cdf_by_radius(
+        standalone_trace, landscape.study_area.anchor, RADII, NetworkId.NET_B,
+        min_samples=100,
     )
 
     table = TextTable(

@@ -54,8 +54,8 @@ def _run(spot_traces):
     return wi, nj
 
 
-def test_fig05_spot_location_cdfs(spot_traces, benchmark):
-    wi, nj = benchmark.pedantic(_run, args=(spot_traces,), rounds=1, iterations=1)
+def test_fig05_spot_location_cdfs(spot_traces):
+    wi, nj = _run(spot_traces)
 
     for label, rows in (("WI (Madison)", wi), ("NJ (New Brunswick)", nj)):
         table = TextTable(

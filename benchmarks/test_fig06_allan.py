@@ -41,8 +41,8 @@ def _profiles(proximate_traces):
     return out
 
 
-def test_fig06_allan_deviation_epochs(proximate_traces, benchmark):
-    result = benchmark.pedantic(_profiles, args=(proximate_traces,), rounds=1, iterations=1)
+def test_fig06_allan_deviation_epochs(proximate_traces):
+    result = _profiles(proximate_traces)
 
     epochs = {}
     for region, (profile, epoch) in result.items():

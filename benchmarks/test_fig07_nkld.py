@@ -53,8 +53,8 @@ def _run(proximate_traces):
     return out
 
 
-def test_fig07_nkld_convergence(proximate_traces, benchmark):
-    curves = benchmark.pedantic(_run, args=(proximate_traces,), rounds=1, iterations=1)
+def test_fig07_nkld_convergence(proximate_traces):
+    curves = _run(proximate_traces)
 
     crossings = {}
     for region, curve in curves.items():

@@ -14,19 +14,12 @@ from repro.analysis.tables import TextTable
 from repro.geo.zones import ZoneGrid
 
 
-def test_fig08_wiscape_estimation_error(standalone_trace, landscape, benchmark):
+def test_fig08_wiscape_estimation_error(standalone_trace, landscape):
     grid = ZoneGrid(landscape.study_area.anchor, radius_m=250.0)
 
-    errors = benchmark.pedantic(
-        wiscape_error_cdf,
-        args=(standalone_trace, grid),
-        kwargs={
-            "client_fraction": 0.1,
-            "sample_budget": 100,
-            "min_truth_samples": 100,
-            "seed": 5,
-        },
-        rounds=1, iterations=1,
+    errors = wiscape_error_cdf(
+        standalone_trace, grid, client_fraction=0.1, sample_budget=100,
+        min_truth_samples=100, seed=5,
     )
     errs = np.asarray(errors)
 

@@ -14,14 +14,12 @@ from repro.geo.zones import ZoneGrid
 from repro.radio.technology import NetworkId
 
 
-def test_fig09_failing_zones_are_variable(standalone_trace, landscape, benchmark):
+def test_fig09_failing_zones_are_variable(standalone_trace, landscape):
     grid = ZoneGrid(landscape.study_area.anchor, radius_m=250.0)
 
-    report = benchmark.pedantic(
-        variable_zone_report,
-        args=(standalone_trace, grid),
-        kwargs={"min_samples": 100, "min_fail_days": 4, "network": NetworkId.NET_B},
-        rounds=1, iterations=1,
+    report = variable_zone_report(
+        standalone_trace, grid, min_samples=100, min_fail_days=4,
+        network=NetworkId.NET_B,
     )
 
     failing = np.asarray(report.failing_rel_stds)

@@ -41,8 +41,8 @@ def _run():
     return out
 
 
-def test_fig10_stadium_latency_surge(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_fig10_stadium_latency_surge():
+    result = _run()
 
     table = TextTable(
         ["network", "baseline ms", "peak ms", "ratio", "surge duration h"],

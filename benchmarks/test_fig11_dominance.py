@@ -28,11 +28,8 @@ def _run(wirover_trace, origin):
     return out
 
 
-def test_fig11_dominance_vs_radius(wirover_trace, landscape, benchmark):
-    results = benchmark.pedantic(
-        _run, args=(wirover_trace, landscape.study_area.anchor),
-        rounds=1, iterations=1,
-    )
+def test_fig11_dominance_vs_radius(wirover_trace, landscape):
+    results = _run(wirover_trace, landscape.study_area.anchor)
 
     table = TextTable(
         ["radius (m)", "zones", "dominated (%)", "NetB (%)", "NetC (%)"],

@@ -14,14 +14,12 @@ from repro.geo.zones import ZoneGrid
 from repro.radio.technology import NetworkId
 
 
-def test_fig12_road_dominance_map(short_segment_trace, landscape, benchmark):
+def test_fig12_road_dominance_map(short_segment_trace, landscape):
     grid = ZoneGrid(landscape.study_area.anchor, radius_m=250.0)
 
-    result = benchmark.pedantic(
-        zone_dominance,
-        args=(short_segment_trace, grid, MeasurementType.TCP_DOWNLOAD),
-        kwargs={"higher_is_better": True, "min_samples": 10, "min_networks": 3},
-        rounds=1, iterations=1,
+    result = zone_dominance(
+        short_segment_trace, grid, MeasurementType.TCP_DOWNLOAD,
+        higher_is_better=True, min_samples=10, min_networks=3,
     )
 
     counts = result.counts()

@@ -32,11 +32,9 @@ def _zone_means(records, grid):
     return out
 
 
-def test_fig13_road_throughput_profile(short_segment_trace, landscape, benchmark):
+def test_fig13_road_throughput_profile(short_segment_trace, landscape):
     grid = ZoneGrid(landscape.study_area.anchor, radius_m=250.0)
-    zone_means = benchmark.pedantic(
-        _zone_means, args=(short_segment_trace, grid), rounds=1, iterations=1
-    )
+    zone_means = _zone_means(short_segment_trace, grid)
 
     zones = sorted(zone_means)
     table = TextTable(

@@ -69,10 +69,8 @@ def _run(landscape, short_segment_trace):
     return multisim, mar
 
 
-def test_fig14_well_known_websites(landscape, short_segment_trace, benchmark):
-    multisim, mar = benchmark.pedantic(
-        _run, args=(landscape, short_segment_trace), rounds=1, iterations=1
-    )
+def test_fig14_well_known_websites(landscape, short_segment_trace):
+    multisim, mar = _run(landscape, short_segment_trace)
 
     table_a = TextTable(
         ["site", "WiScape s", "NetA s", "NetB s", "NetC s", "impr vs best fixed (%)"],

@@ -53,10 +53,8 @@ def _build(spot_traces, proximate_traces):
     return out
 
 
-def test_table3_static_vs_proximate(spot_traces, proximate_traces, benchmark):
-    rows = benchmark.pedantic(
-        _build, args=(spot_traces, proximate_traces), rounds=1, iterations=1
-    )
+def test_table3_static_vs_proximate(spot_traces, proximate_traces):
+    rows = _build(spot_traces, proximate_traces)
 
     table = TextTable(
         ["net-region", "Static UDP Kbps", "Prox UDP Kbps", "err %",

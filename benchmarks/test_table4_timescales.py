@@ -45,8 +45,8 @@ def _build(spot_traces):
     return out
 
 
-def test_table4_long_vs_short_timescale(spot_traces, benchmark):
-    rows = benchmark.pedantic(_build, args=(spot_traces,), rounds=1, iterations=1)
+def test_table4_long_vs_short_timescale(spot_traces):
+    rows = _build(spot_traces)
 
     table = TextTable(
         ["net-region", "metric", "std 30min (Kbps)", "std fine (Kbps)", "ratio"],

@@ -48,8 +48,8 @@ def _run(proximate_traces):
     return results
 
 
-def test_table5_packets_for_97pct(proximate_traces, benchmark):
-    results = benchmark.pedantic(_run, args=(proximate_traces,), rounds=1, iterations=1)
+def test_table5_packets_for_97pct(proximate_traces):
+    results = _run(proximate_traces)
 
     table = TextTable(
         ["network-location", "packets needed", "per-packet rel std"],

@@ -67,10 +67,8 @@ def _run(landscape, short_segment_trace):
     return multisim, mar_stats
 
 
-def test_table6_http_latency(landscape, short_segment_trace, benchmark):
-    multisim, mar = benchmark.pedantic(
-        _run, args=(landscape, short_segment_trace), rounds=1, iterations=1
-    )
+def test_table6_http_latency(landscape, short_segment_trace):
+    multisim, mar = _run(landscape, short_segment_trace)
 
     table = TextTable(["scheme", "avg (s)", "std (s)"], formats=["", ".2f", ".2f"])
     for name, (mean, std) in {**multisim, **mar}.items():

@@ -55,7 +55,7 @@ if TYPE_CHECKING:
 _PROBABILITY_BUCKETS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoordinatorStats:
     """Counters the overhead analysis reads.
 

@@ -6,7 +6,7 @@ timing, a deterministic JSONL event log stamped with *simulation* time,
 and run manifests recording provenance.  Disabled by default: the
 ambient telemetry is a shared no-op, so un-instrumented runs stay
 bit-identical and effectively free (see the overhead gate in
-``benchmarks/test_perf_microbench.py``).
+``benchmarks/test_telemetry_overhead.py``).
 
 On top of the artifact layer sits the live pipeline: a
 :class:`SnapshotStreamer` captures periodic sim-time-stamped registry

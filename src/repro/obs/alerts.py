@@ -263,7 +263,8 @@ def parse_rules(data: dict) -> List[AlertRule]:
 
 def load_rules(path) -> List[AlertRule]:
     """Load alert rules from a ``.toml`` or ``.json`` file."""
-    text = open(path, "r", encoding="utf-8").read()
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     if str(path).endswith(".toml"):
         try:
             import tomllib

@@ -400,7 +400,7 @@ class NullMetricsRegistry:
 
     This is what disabled telemetry hands to instrumentation sites, so
     the per-call cost is one attribute lookup and one no-op call — the
-    overhead the ``benchmarks/test_perf_microbench.py`` gate bounds.
+    overhead the ``benchmarks/test_telemetry_overhead.py`` gate bounds.
     """
 
     enabled = False

@@ -752,11 +752,20 @@ def render_live(telemetry: Telemetry, manifest=None, title: str = "telemetry rep
 # -- watch / diff -----------------------------------------------------------
 
 
+#: Warnings for the files a live run writes only at its end.
+_WRITTEN_AT_RUN_END = tuple(
+    f"no {name} found"
+    for name in (METRICS_FILENAME, SPANS_FILENAME, MANIFEST_FILENAME)
+)
+
+
 def render_watch(out_dir: str) -> str:
     """One compact status block from a (possibly still-running) run dir.
 
     Reads tolerantly — a run mid-write may have a truncated trailing
-    snapshot line, which is skipped, not fatal.
+    snapshot line, which is skipped, not fatal.  Once snapshots exist,
+    the missing end-of-run files (metrics, spans, manifest) are
+    expected and not warned about.
     """
     artifacts = load_artifacts(out_dir)
     summary = build_summary(artifacts)
@@ -802,6 +811,8 @@ def render_watch(out_dir: str) -> str:
     if summary["events_dropped"]:
         lines.append(f"  ! {summary['events_dropped']} event(s) dropped")
     for w in summary["warnings"]:
+        if latest is not None and w.startswith(_WRITTEN_AT_RUN_END):
+            continue
         lines.append(f"  ! {w}")
     return "\n".join(lines)
 

@@ -122,7 +122,8 @@ class Telemetry:
         """Write metrics.json / events.jsonl / spans.json (+ manifest).
 
         A streamed event log is closed here: ``events.jsonl`` is already
-        on disk.  Returns a dict mapping artifact name -> written path.
+        on disk.  Returns a dict mapping artifact name -> written path;
+        a null event log writes no ``events.jsonl`` and has no entry.
         """
         os.makedirs(out_dir, exist_ok=True)
         paths = {}
@@ -141,9 +142,10 @@ class Telemetry:
             fh.write(self.metrics.to_json() + "\n")
         paths["metrics"] = metrics_path
 
-        events_path = os.path.join(out_dir, EVENTS_FILENAME)
-        self.events.write_jsonl(events_path)
-        paths["events"] = events_path
+        if not isinstance(self.events, NullEventLog):
+            events_path = os.path.join(out_dir, EVENTS_FILENAME)
+            self.events.write_jsonl(events_path)
+            paths["events"] = events_path
 
         spans_path = os.path.join(out_dir, SPANS_FILENAME)
         with open(spans_path, "w", encoding="utf-8") as fh:

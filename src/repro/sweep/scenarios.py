@@ -481,7 +481,6 @@ def run_greedy(landscape, hours=4.0, n_buses=4, seed=1, seed_base=10,
                 now,
             )
             if report is not None:
-                coordinator.stats.tasks_issued += 1
                 coordinator.ingest(report)
         for rec in coordinator.store.records():
             coordinator._close_and_alert(rec, now)

@@ -1,5 +1,7 @@
 """Tests for the measurement coordinator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,13 @@ class TestStatsView:
         assert s.tasks_issued == coord.metrics.counter_value(
             "coordinator.tasks_issued"
         )
+
+    def test_stats_view_is_read_only(self, landscape):
+        # A write to the view would be lost: each access rebuilds it
+        # from the registry counters.
+        coord = _coordinator(landscape)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            coord.stats.ticks = 1
 
     def test_enabled_telemetry_collects_events(self, landscape):
         from repro.obs import Telemetry

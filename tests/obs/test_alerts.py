@@ -1,7 +1,9 @@
 """Tests for the declarative alert-rule engine."""
 
+import gc
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -185,6 +187,15 @@ class TestLoading:
         ))
         rules = load_rules(path)
         assert rules[0].value == 2.0
+
+    def test_load_closes_the_file(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({"rules": [{"name": "r", "metric": "m"}]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            load_rules(path)
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
 
     @pytest.mark.skipif(
         sys.version_info < (3, 11), reason="tomllib requires Python 3.11+"

@@ -1,6 +1,7 @@
 """Tests for the Telemetry bundle and the ambient global."""
 
 import json
+import os
 
 import pytest
 
@@ -55,6 +56,16 @@ class TestBundle:
         metrics = json.loads((tmp_path / METRICS_FILENAME).read_text())
         assert metrics["counters"]["c"] == 1.0
         assert set(paths) == {"metrics", "events", "spans", "manifest"}
+
+    @pytest.mark.parametrize("make", [
+        lambda: Telemetry(enabled=False),
+        lambda: Telemetry(events=NULL_EVENT_LOG),
+    ], ids=["disabled", "null-events"])
+    def test_write_artifacts_returns_only_written_paths(self, tmp_path, make):
+        paths = make().write_artifacts(tmp_path)
+        assert "events" not in paths
+        for path in paths.values():
+            assert os.path.exists(path), path
 
 
 class TestStreamedEvents:
