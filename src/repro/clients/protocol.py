@@ -9,13 +9,35 @@ spirit.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geo.coords import GeoPoint
 from repro.radio.technology import NetworkId
 
 ZoneId = Tuple[int, int]
+
+
+def pack_samples(samples: Sequence[float]) -> bytes:
+    """A sample list as big-endian IEEE-754 doubles (``struct`` ``>Nd``).
+
+    The one on-the-wire and on-disk layout for per-report samples: the
+    binary codec's REPORT_BATCH and the store's ``samples.samples_f64``
+    column both hold exactly these bytes.  Every float, NaN and the
+    infinities included, round-trips bit for bit; an empty list packs to
+    ``b""``.
+    """
+    return struct.pack(f">{len(samples)}d", *samples)
+
+
+def unpack_samples(data: bytes) -> List[float]:
+    """Inverse of :func:`pack_samples` (``struct.error`` unless ``len % 8 == 0``).
+
+    Accepts any bytes-like object, so a ``memoryview`` slice of a larger
+    buffer decodes without a copy.
+    """
+    return list(struct.unpack(f">{len(data) // 8}d", data))
 
 
 class MeasurementType(str, enum.Enum):

@@ -71,6 +71,8 @@ from repro.clients.protocol import (
     MeasurementReport,
     MeasurementTask,
     MeasurementType,
+    pack_samples,
+    unpack_samples,
 )
 from repro.geo.coords import GeoPoint
 from repro.radio.technology import NetworkId
@@ -424,8 +426,7 @@ def _pack_report_batch(message: Dict[str, Any]) -> bytes:
             append(kind)
             append(client_id)
             append(_BIN_U32.pack(len(samples)))
-            if samples:
-                append(struct.pack(f">{len(samples)}d", *samples))
+            append(pack_samples(samples))
             append(_BIN_U32.pack(len(extras)))
             for k, v in extras.items():
                 if type(k) is not str or not _is_float(v):
@@ -503,9 +504,7 @@ def _unpack_report_batch(payload: bytes) -> Dict[str, Any]:
             offset += _BIN_U32.size
             if n_samples * 8 > len(payload) - offset:
                 raise ProtocolError("binary batch samples overrun payload")
-            samples = list(
-                struct.unpack_from(f">{n_samples}d", view, offset)
-            )
+            samples = unpack_samples(view[offset:offset + 8 * n_samples])
             offset += 8 * n_samples
             (n_extras,) = _BIN_U32.unpack_from(view, offset)
             offset += _BIN_U32.size

@@ -478,22 +478,28 @@ def logical_dump(conn: sqlite3.Connection) -> dict:
     no execution-shape manifest keys (worker count may differ between
     byte-identical sweeps), no file-layout artifacts, keys sorted by
     construction.  Two stores built from byte-identical inputs must
-    produce equal dumps.
+    produce equal dumps.  Packed samples dump as the canonical JSON text
+    schema v2 stored, so for float samples a dump differs from the v2
+    dump of the same reports only in ``schema_version``.
     """
+    from repro.clients.protocol import unpack_samples
     from repro.store.schema import schema_version
+    from repro.store.writers import _canon
 
     runs_out = []
     for run in list_runs(conn):
         rid = run.run_id
-        samples = [
-            list(row) for row in conn.execute(
-                "SELECT seq, task_id, client_id, network, kind, zone_q,"
-                " zone_r, start_s, end_s, lat, lon, speed_ms, value,"
-                " n_samples, samples_json, extras_json, accepted,"
-                " reject_reason FROM samples WHERE run_id = ? ORDER BY seq",
-                (rid,),
-            )
-        ]
+        samples = []
+        for row in conn.execute(
+            "SELECT seq, task_id, client_id, network, kind, zone_q,"
+            " zone_r, start_s, end_s, lat, lon, speed_ms, value,"
+            " n_samples, samples_f64, extras_json, accepted,"
+            " reject_reason FROM samples WHERE run_id = ? ORDER BY seq",
+            (rid,),
+        ):
+            row = list(row)
+            row[14] = _canon(unpack_samples(row[14]))  # v2's samples_json
+            samples.append(row)
         rollups = [
             list(row) for row in conn.execute(
                 "SELECT zone_q, zone_r, epoch_index, network, kind,"

@@ -34,12 +34,30 @@ v2 is a deliberately small follow-up (an operator ``notes`` column on
 ``runs`` plus a reject-reason index) that exists mostly so the
 migration machinery is exercised by real history rather than trusted on
 faith.
+
+v3 stores each report's samples as packed bytes instead of JSON text:
+``samples.samples_json`` is renamed ``samples.samples_f64`` and holds
+BLOBs of big-endian IEEE-754 doubles in the layout of
+:func:`repro.clients.protocol.pack_samples` — the binary wire codec's
+sample layout.  Ingest no longer pays a float ``repr`` per sample and a
+row shrinks by about a third.  Existing rows are converted in place
+inside the v3 transaction by the SQL function ``v2_samples_to_f64``
+(JSON text to packed bytes), which :func:`apply_migrations` registers
+on the connection, and the column is then renamed (SQLite >= 3.25); a
+failure on any row rolls the file back to v2 untouched.  The column
+keeps its v1 ``TEXT`` declaration: SQLite stores BLOB values unchanged
+under TEXT affinity, and a rename needs no table rebuild.
+JSON integers become doubles on the way (``[1]`` reads back as
+``[1.0]``); every sample that came over the wire is already a float.
 """
 
 from __future__ import annotations
 
+import json
 import sqlite3
 from typing import List, Tuple
+
+from repro.clients.protocol import pack_samples
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -52,7 +70,7 @@ __all__ = [
 
 #: Version the code writes; databases at lower versions are migrated
 #: forward on open, databases at higher versions are refused.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _V1_DDL = [
     """
@@ -201,11 +219,23 @@ _V2_DDL = [
     "CREATE INDEX idx_samples_reject ON samples (run_id, accepted, reject_reason)",
 ]
 
+_V3_DDL = [
+    "UPDATE samples SET samples_json = v2_samples_to_f64(samples_json)",
+    "ALTER TABLE samples RENAME COLUMN samples_json TO samples_f64",
+]
+
 #: ``(version, description, [ddl statements])`` in apply order.
 MIGRATIONS: List[Tuple[int, str, List[str]]] = [
     (1, "baseline: runs/samples/rollups/metrics/events/alerts", _V1_DDL),
     (2, "runs.notes column + reject-reason index", _V2_DDL),
+    (3, "samples.samples_json text -> samples.samples_f64 packed doubles",
+     _V3_DDL),
 ]
+
+
+def _v2_samples_to_f64(samples_json: str) -> bytes:
+    """A v2 ``samples_json`` value as the v3 ``samples_f64`` bytes."""
+    return pack_samples(json.loads(samples_json))
 
 
 class SchemaError(Exception):
@@ -244,7 +274,8 @@ def apply_migrations(conn: sqlite3.Connection,
     its ``schema_migrations`` bookkeeping row, so a crash mid-migration
     leaves the database at the previous version, never between two.
     Expects an autocommit connection (what :func:`repro.store.db.connect`
-    hands out) so the explicit BEGIN below owns the transaction.  Raises
+    hands out) so the explicit BEGIN below owns the transaction, and
+    registers on it the SQL functions the migrations call.  Raises
     :class:`SchemaError` when the database is *ahead* of ``target`` —
     that is a downgrade, which is refused.
     """
@@ -260,6 +291,8 @@ def apply_migrations(conn: sqlite3.Connection,
             f"database is at schema v{current}, newer than this code's "
             f"v{target}; refusing to downgrade (upgrade the code instead)"
         )
+    conn.create_function("v2_samples_to_f64", 1, _v2_samples_to_f64,
+                         deterministic=True)
     applied: List[int] = []
     for version, description, statements in MIGRATIONS:
         if version <= current or version > target:

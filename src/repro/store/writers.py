@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.clients.protocol import MeasurementReport
+from repro.clients.protocol import MeasurementReport, pack_samples
 from repro.core.config import WiScapeConfig
 from repro.core.validation import ReportValidator
 from repro.geo.zones import ZoneGrid
@@ -51,14 +51,12 @@ DEFAULT_BATCH_SIZE = 5000
 _ALERT_KINDS = ("alert.fired", "alert.resolved")
 
 
-def _canon(obj) -> str:
-    """Canonical JSON encoding (sorted keys, compact separators).
-
-    Used for every JSON-typed column so logical equality implies byte
-    equality — the sweep determinism test compares store dumps across
-    worker counts with plain string comparison.
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: Canonical JSON encoding (sorted keys, compact separators), used for
+#: every JSON-typed column so logical equality implies byte equality —
+#: the sweep determinism test compares store dumps across worker counts
+#: with plain string comparison.  Byte-identical to ``json.dumps`` with
+#: the same options, which would build a new encoder on every call.
+_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
@@ -160,7 +158,7 @@ ON CONFLICT (run_id, zone_q, zone_r, epoch_index, network, kind) DO UPDATE SET
 _SAMPLE_INSERT = """
 INSERT INTO samples (run_id, seq, task_id, client_id, network, kind,
                      zone_q, zone_r, start_s, end_s, lat, lon, speed_ms,
-                     value, n_samples, samples_json, extras_json,
+                     value, n_samples, samples_f64, extras_json,
                      accepted, reject_reason)
 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
 """
@@ -218,7 +216,7 @@ def ingest_reports(
                 report.network.value, report.kind.value, zone_q, zone_r,
                 report.start_s, report.end_s, report.point.lat,
                 report.point.lon, report.speed_ms, report.value,
-                len(samples), _canon(list(samples)),
+                len(samples), pack_samples(samples),
                 _canon(dict(report.extras)),
                 1 if outcome.ok else 0, outcome.reason,
             ),

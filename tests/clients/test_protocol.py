@@ -1,11 +1,17 @@
 """Tests for the coordinator/client protocol types."""
 
 import math
+import struct
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.clients.protocol import (
     MeasurementReport,
     MeasurementTask,
     MeasurementType,
+    pack_samples,
+    unpack_samples,
 )
 from repro.geo.coords import GeoPoint
 from repro.radio.technology import NetworkId
@@ -64,3 +70,33 @@ class TestMeasurementReport:
     def test_kind_round_trips_as_string(self):
         assert MeasurementType("udp") is MeasurementType.UDP_TRAIN
         assert str(MeasurementType.TCP_DOWNLOAD) == "tcp"
+
+
+def ieee_bits(xs):
+    """Each float's 64 bits: compares NaN payloads and the sign of zero."""
+    return [struct.pack(">d", x) for x in xs]
+
+
+class TestPackedSamples:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True)))
+    @example([])
+    @example([math.nan, math.inf, -math.inf, -0.0, 0.0])
+    @example([5e-324, -2.2250738585072e-308, 1.7976931348623157e308])
+    def test_round_trip_is_bit_exact(self, xs):
+        packed = pack_samples(xs)
+        assert len(packed) == 8 * len(xs)
+        assert ieee_bits(unpack_samples(packed)) == ieee_bits(xs)
+
+    def test_layout_is_big_endian_doubles(self):
+        assert pack_samples([1.0, -2.5]) == struct.pack(">2d", 1.0, -2.5)
+        assert pack_samples([]) == b""
+
+    def test_unpacks_a_memoryview_slice(self):
+        buf = memoryview(b"\x00" + pack_samples([0.25, 4.0]) + b"\x00")
+        assert unpack_samples(buf[1:17]) == [0.25, 4.0]
+
+    def test_ragged_length_is_refused(self):
+        with pytest.raises(struct.error):
+            unpack_samples(pack_samples([1.0])[:7])

@@ -6,9 +6,11 @@ store tests exercise the same byte-identity contracts the CI smoke
 proves against live processes, just in-process and fast.
 """
 
-import json
-
-from repro.clients.protocol import MeasurementReport, MeasurementType
+from repro.clients.protocol import (
+    MeasurementReport,
+    MeasurementType,
+    unpack_samples,
+)
 from repro.geo.regions import madison_study_area
 from repro.geo.zones import ZoneGrid
 from repro.radio.technology import NetworkId
@@ -105,12 +107,12 @@ def fold_rollups(conn, run_id, epoch_s=EPOCH_S):
     """
     acc = {}
     rows = conn.execute(
-        "SELECT zone_q, zone_r, start_s, network, kind, samples_json"
+        "SELECT zone_q, zone_r, start_s, network, kind, samples_f64"
         " FROM samples WHERE run_id = ? AND accepted = 1 ORDER BY seq",
         (run_id,),
     ).fetchall()
-    for zone_q, zone_r, start_s, network, kind, samples_json in rows:
-        samples = json.loads(samples_json)
+    for zone_q, zone_r, start_s, network, kind, samples_f64 in rows:
+        samples = unpack_samples(samples_f64)
         key = (zone_q, zone_r, int(start_s // epoch_s), network, kind)
         if key not in acc:
             acc[key] = [1, len(samples), sum(samples),

@@ -32,7 +32,7 @@ class TestStoreLifecycle:
                                               wal_dir):
         db = str(tmp_path / "db.sqlite")
         rc, out, _ = run_cli(capsys, "store", "init", db)
-        assert rc == 0 and "schema v2" in out
+        assert rc == 0 and "schema v3" in out
 
         rc, out, _ = run_cli(capsys, "store", "import", db, wal_dir)
         assert rc == 0

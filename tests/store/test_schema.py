@@ -1,10 +1,15 @@
 """Schema versioning and migration tests (repro.store.schema)."""
 
+import json
+import math
 import sqlite3
 
 import pytest
 
-from repro.store.db import StoreError, connect
+from repro.core.validation import ReportValidator
+from repro.store import schema as schema_module
+from repro.store.db import StoreError, connect, transaction
+from repro.store.queries import logical_dump
 from repro.store.schema import (
     MIGRATIONS,
     SCHEMA_VERSION,
@@ -13,6 +18,87 @@ from repro.store.schema import (
     apply_migrations,
     schema_version,
 )
+from repro.store.writers import (
+    _ROLLUP_UPSERT,
+    create_run,
+    default_epoch_s,
+    ingest_reports,
+)
+from repro.sweep.reduce import merge_cells
+
+from tests.store.helpers import default_grid, make_report
+
+
+def v2_reports():
+    """Accepted and rejected reports, with and without sample lists."""
+    return [
+        make_report(0),  # no samples: stored as [value]
+        make_report(1, samples=[1234567.891, 2.5e6 / 3]),
+        make_report(2, samples=[0.25] * 12),
+        make_report(3, speed_ms=500.0,
+                    samples=[math.nan, math.inf, -math.inf]),
+        make_report(4, samples=[-0.0, 5e-324, 1e300]),  # implausible
+        make_report(5, speed_ms=500.0),  # rejected, no samples
+        make_report(6, samples=[2.0, 3.0]),
+    ]
+
+
+def write_v2_samples(conn, run_id, reports):
+    """Insert ``reports`` the way schema v2's ``ingest_reports`` did.
+
+    Identical rows and rollups to v3 ingest except that each report's
+    samples are canonical JSON text in ``samples.samples_json``.
+    """
+    grid, validator, epoch = default_grid(), ReportValidator(), default_epoch_s()
+    with transaction(conn):
+        for seq, report in enumerate(reports):
+            outcome = validator.validate(report, report.start_s)
+            zone_q, zone_r = (grid.zone_id_for(report.point) if outcome.ok
+                              else (None, None))
+            samples = report.samples if report.samples else [report.value]
+            conn.execute(
+                "INSERT INTO samples (run_id, seq, task_id, client_id,"
+                " network, kind, zone_q, zone_r, start_s, end_s, lat, lon,"
+                " speed_ms, value, n_samples, samples_json, extras_json,"
+                " accepted, reject_reason)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?,"
+                " ?, ?)",
+                (
+                    run_id, seq, report.task_id, report.client_id,
+                    report.network.value, report.kind.value, zone_q, zone_r,
+                    report.start_s, report.end_s, report.point.lat,
+                    report.point.lon, report.speed_ms, report.value,
+                    len(samples),
+                    json.dumps(samples, sort_keys=True,
+                               separators=(",", ":")),
+                    json.dumps(dict(report.extras), sort_keys=True,
+                               separators=(",", ":")),
+                    1 if outcome.ok else 0, outcome.reason,
+                ),
+            )
+            if outcome.ok:
+                conn.execute(_ROLLUP_UPSERT, (
+                    run_id, zone_q, zone_r, int(report.start_s // epoch),
+                    report.network.value, report.kind.value, len(samples),
+                    sum(samples), sum(x * x for x in samples),
+                    min(samples), max(samples),
+                    report.start_s, report.start_s,
+                ))
+
+
+def build_v2_store(path, reports):
+    """A schema-v2 store file holding one run of v2-format sample rows."""
+    conn = sqlite3.connect(path, isolation_level=None)
+    try:
+        apply_migrations(conn, target=2)
+        write_v2_samples(conn, create_run(conn, "live", "wal"), reports)
+    finally:
+        conn.close()
+
+
+def dump_text(dump):
+    """A logical dump as canonical text (NaN rows compare equal)."""
+    return json.dumps(dump, sort_keys=True)
 
 
 class TestFreshStore:
@@ -98,6 +184,103 @@ class TestMigrationPath:
         finally:
             conn.close()
         assert row == ("r1", "")
+
+
+class TestPackedSamplesMigration:
+    def test_fresh_store_holds_packed_blobs(self, tmp_path):
+        conn = connect(str(tmp_path / "s.sqlite"))
+        try:
+            cols = {row[1] for row in conn.execute(
+                "PRAGMA table_info(samples)")}
+            ingest_reports(conn, create_run(conn, "live", "wal"),
+                           v2_reports(), default_grid())
+            types = {row[0] for row in conn.execute(
+                "SELECT typeof(samples_f64) FROM samples")}
+        finally:
+            conn.close()
+        assert "samples_f64" in cols and "samples_json" not in cols
+        assert types == {"blob"}
+
+    def test_v2_rows_dump_like_a_fresh_v3_ingest(self, tmp_path):
+        reports = v2_reports()
+        old = str(tmp_path / "v2.sqlite")
+        build_v2_store(old, reports)
+        migrated = connect(old)
+        fresh = connect(str(tmp_path / "v3.sqlite"))
+        try:
+            assert schema_version(migrated) == SCHEMA_VERSION
+            result = ingest_reports(fresh, create_run(fresh, "live", "wal"),
+                                    reports, default_grid())
+            assert (result.accepted, result.rejected) == (4, 3)
+            got, want = logical_dump(migrated), logical_dump(fresh)
+        finally:
+            migrated.close()
+            fresh.close()
+        assert got["schema_version"] == want["schema_version"] == 3
+        assert dump_text(got) == dump_text(want)
+        samples_text = [row[14] for row in got["runs"][0]["samples"]]
+        assert samples_text[0] == json.dumps([reports[0].value])
+        assert samples_text[1] == "[1234567.891,833333.3333333334]"
+        assert samples_text[3] == "[NaN,Infinity,-Infinity]"
+        assert samples_text[4] == "[-0.0,5e-324,1e+300]"
+
+    def test_failed_row_leaves_the_file_at_v2(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "v2.sqlite")
+        build_v2_store(path, v2_reports())
+
+        def read_v2_rows():
+            raw = sqlite3.connect(path)
+            try:
+                return schema_version(raw), raw.execute(
+                    "SELECT seq, samples_json FROM samples ORDER BY seq"
+                ).fetchall()
+            finally:
+                raw.close()
+
+        before = read_v2_rows()
+        assert before[0] == 2 and len(before[1]) == 7
+        calls = []
+        real_pack = schema_module.pack_samples
+
+        def pack_then_fail(samples):
+            calls.append(samples)
+            if len(calls) == 3:
+                raise ValueError("injected pack failure")
+            return real_pack(samples)
+
+        monkeypatch.setattr(schema_module, "pack_samples", pack_then_fail)
+        with pytest.raises(StoreError):
+            connect(path)
+        assert len(calls) == 3  # rows 0 and 1 were packed, then abort
+        assert read_v2_rows() == before
+
+        monkeypatch.setattr(schema_module, "pack_samples", real_pack)
+        conn = connect(path)  # the next open upgrades cleanly
+        try:
+            assert schema_version(conn) == SCHEMA_VERSION
+        finally:
+            conn.close()
+
+    def test_failed_migration_is_a_sweep_reduce_warning(self, tmp_path,
+                                                         monkeypatch):
+        path = str(tmp_path / "v2.sqlite")
+        build_v2_store(path, v2_reports())
+
+        def pack_fails(samples):
+            raise ValueError("injected pack failure")
+
+        monkeypatch.setattr(schema_module, "pack_samples", pack_fails)
+        out = tmp_path / "sweep"
+        out.mkdir()
+        result = merge_cells(str(out), store_path=path)
+        assert result.store_rows is None
+        assert any(w.startswith("store ingest failed:")
+                   for w in result.warnings)
+        raw = sqlite3.connect(path)
+        try:
+            assert schema_version(raw) == 2
+        finally:
+            raw.close()
 
 
 class TestDowngradeRefusal:

@@ -3,7 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.clients.protocol import unpack_samples
 from repro.store import (
     StoreError,
     classify_source,
@@ -15,6 +17,7 @@ from repro.store import (
     ingest_reports,
     list_runs,
 )
+from repro.store.writers import _canon
 
 from tests.store.helpers import (
     EPOCH_S,
@@ -80,11 +83,11 @@ class TestIngestReports:
     def test_scalar_value_becomes_single_sample(self, store):
         run_id = create_run(store, "r", "wal")
         ingest_reports(store, run_id, [make_report(0)], default_grid())
-        n_samples, samples_json = store.execute(
-            "SELECT n_samples, samples_json FROM samples WHERE run_id = ?",
+        n_samples, samples_f64 = store.execute(
+            "SELECT n_samples, samples_f64 FROM samples WHERE run_id = ?",
             (run_id,)).fetchone()
         assert n_samples == 1
-        assert json.loads(samples_json) == [make_report(0).value]
+        assert unpack_samples(samples_f64) == [make_report(0).value]
 
     def test_small_batches_commit_everything(self, store):
         reports = [make_report(i) for i in range(23)]
@@ -107,6 +110,23 @@ class TestIngestReports:
         assert epoch_index == int(1250.0 // 600.0) == 2
         assert stored_rollups(store, run_id) == \
             fold_rollups(store, run_id, epoch_s=600.0)
+
+
+#: Any value ``json`` can encode: scalars (NaN and the infinities
+#: included), then lists and string-keyed objects of them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_cached_encoder_matches_json_dumps(self, obj):
+        assert _canon(obj) == json.dumps(obj, sort_keys=True,
+                                         separators=(",", ":"))
 
 
 class TestCreateRun:
