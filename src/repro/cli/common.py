@@ -64,12 +64,19 @@ class Group:
             return func
         return bind
 
-    def register(self, sub) -> None:
-        """Add one parser per command to ``sub``, in definition order."""
+    def register(self, sub, only: Optional[str] = None) -> None:
+        """Add one parser per command to ``sub``, in definition order.
+
+        ``only`` names one top-level word: an unnamed group then adds
+        just that command (a named group is its own single word).
+        """
         if self.name is not None:
             sub = sub.add_parser(self.name, help=self.help).add_subparsers(
                 dest=f"{self.name}_command", required=True)
+            only = None
         for name, help, args, func in self.commands:
+            if only is not None and name != only:
+                continue
             parser = sub.add_parser(name, help=help)
             _add_arguments(parser, args)
             parser.set_defaults(func=func)

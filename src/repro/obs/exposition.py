@@ -10,7 +10,10 @@ and the determinism tests never see them:
   collector" style);
 * :class:`MetricsHTTPServer` — an opt-in stdlib ``http.server`` endpoint
   serving ``GET /metrics`` from the latest snapshot on a daemon thread
-  (``repro monitor --serve-metrics PORT``).
+  (``repro monitor --serve-metrics PORT``).  ``http.server`` (which
+  pulls in ``email``, ``http.client`` and ``ssl``) is imported only
+  when one is built, so a run that writes ``metrics.prom`` alone does
+  not load it.
 
 No timestamps are emitted: sample values are pure functions of the
 snapshot, so the rendered text is deterministic too.
@@ -18,9 +21,9 @@ snapshot, so the rendered text is deterministic too.
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 __all__ = [
@@ -97,22 +100,29 @@ class PromFileWriter:
             fh.write(render_prometheus(snap))
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-obs/1"
+@functools.lru_cache(maxsize=None)
+def _handler_class():
+    """The ``/metrics`` request handler, built on first use."""
+    from http.server import BaseHTTPRequestHandler
 
-    def do_GET(self):  # noqa: N802 - http.server API
-        if self.path.rstrip("/") not in ("", "/metrics"):
-            self.send_error(404)
-            return
-        body = self.server.holder.latest().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    class _Handler(BaseHTTPRequestHandler):
+        server_version = "repro-obs/1"
 
-    def log_message(self, fmt, *args):  # silence per-request stderr noise
-        pass
+        def do_GET(self):  # noqa: N802 - http.server API
+            if self.path.rstrip("/") not in ("", "/metrics"):
+                self.send_error(404)
+                return
+            body = self.server.holder.latest().encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "text/plain; version=0.0.4")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, fmt, *args):  # silence per-request noise
+            pass
+
+    return _Handler
 
 
 class MetricsHTTPServer:
@@ -125,9 +135,11 @@ class MetricsHTTPServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        from http.server import ThreadingHTTPServer
+
         self._lock = threading.Lock()
         self._body = "# no snapshot captured yet\n"
-        self._server = ThreadingHTTPServer((host, port), _Handler)
+        self._server = ThreadingHTTPServer((host, port), _handler_class())
         self._server.holder = self
         self._thread: Optional[threading.Thread] = None
         self.host = host

@@ -21,7 +21,8 @@ import os
 import sqlite3
 from typing import Iterator, Optional
 
-from repro.store.schema import SCHEMA_VERSION, apply_migrations
+from repro.store.schema import (
+    SCHEMA_VERSION, MigrationError, SchemaError, apply_migrations)
 
 __all__ = [
     "DEFAULT_STORE_FILENAME",
@@ -65,7 +66,11 @@ def connect(path: str, create: bool = True,
     here commits behind your back, and :func:`transaction` owns every
     multi-statement group.  With ``create=False`` a missing file is a
     :class:`StoreError` instead of a silently created empty database —
-    the right behavior for read-side commands pointed at a typo.
+    the right behavior for read-side commands pointed at a typo.  A
+    migration that fails is a :class:`StoreError` naming the migration
+    and the schema version the file was left at; a file newer than
+    ``target_version`` raises :class:`~repro.store.schema.SchemaError`
+    naming the file.
     """
     path = os.fspath(path)
     if not create and not os.path.exists(path):
@@ -82,6 +87,12 @@ def connect(path: str, create: bool = True,
     try:
         _apply_pragmas(conn)
         apply_migrations(conn, target=target_version)
+    except MigrationError as exc:
+        conn.close()
+        raise StoreError(f"{path}: {exc}") from exc
+    except SchemaError as exc:
+        conn.close()
+        raise SchemaError(f"{path}: {exc}") from exc
     except sqlite3.DatabaseError as exc:
         conn.close()
         raise StoreError(f"{path} is not a measurement store: {exc}") from exc

@@ -62,6 +62,7 @@ from repro.clients.protocol import pack_samples
 __all__ = [
     "SCHEMA_VERSION",
     "MIGRATIONS",
+    "MigrationError",
     "SchemaError",
     "apply_migrations",
     "applied_versions",
@@ -242,6 +243,24 @@ class SchemaError(Exception):
     """The database's schema version cannot be reconciled with the code."""
 
 
+class MigrationError(sqlite3.DatabaseError):
+    """Migration ``version`` failed; the file rolled back to ``left_at``.
+
+    A :class:`sqlite3.DatabaseError` (the failure it wraps is its
+    ``__cause__``), so a caller that handles the sqlite3 error still
+    does.
+    """
+
+    def __init__(self, version: int, left_at: int,
+                 cause: sqlite3.DatabaseError) -> None:
+        super().__init__(
+            f"schema migration v{version} failed ({cause}); the file was "
+            f"left at schema v{left_at}"
+        )
+        self.version = version
+        self.left_at = left_at
+
+
 def schema_version(conn: sqlite3.Connection) -> int:
     """Highest migration version recorded in ``conn`` (0 = virgin file)."""
     row = conn.execute(
@@ -277,7 +296,8 @@ def apply_migrations(conn: sqlite3.Connection,
     hands out) so the explicit BEGIN below owns the transaction, and
     registers on it the SQL functions the migrations call.  Raises
     :class:`SchemaError` when the database is *ahead* of ``target`` —
-    that is a downgrade, which is refused.
+    that is a downgrade, which is refused — and :class:`MigrationError`
+    when a migration's SQL fails.
     """
     known = {m[0] for m in MIGRATIONS}
     if target != 0 and target not in known:
@@ -304,6 +324,7 @@ def apply_migrations(conn: sqlite3.Connection,
             # processes opening a fresh store race on v1 otherwise).
             if schema_version(conn) >= version:
                 conn.execute("ROLLBACK")
+                current = version
                 continue
             for statement in statements:
                 conn.execute(statement)
@@ -312,9 +333,13 @@ def apply_migrations(conn: sqlite3.Connection,
                 "VALUES (?, ?)",
                 (version, description),
             )
+        except sqlite3.DatabaseError as exc:
+            conn.execute("ROLLBACK")
+            raise MigrationError(version, current, exc) from exc
         except BaseException:
             conn.execute("ROLLBACK")
             raise
         conn.execute("COMMIT")
         applied.append(version)
+        current = version
     return applied

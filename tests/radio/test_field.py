@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.regions import madison_study_area
-from repro.radio.basestation import place_base_stations
+from repro.radio.basestation import BaseStation, place_base_stations
 from repro.radio.field import SpatialField, value_noise
+from repro.radio.network import build_landscape
 
 
 def _field(seed=0, calibrated=True):
@@ -92,3 +93,50 @@ class TestSpatialField:
         f, _ = _field(calibrated=False)
         with pytest.raises(ValueError):
             f.calibrate([])
+
+
+def _scalar_calibrate(self, sample_points):
+    """:meth:`SpatialField.calibrate` over the scalar ``_signal``."""
+    signals = sorted(self._signal(p) for p in sample_points)
+    self._q_ref = max(signals[len(signals) // 2], 1e-12)
+
+
+def _q_refs(landscape):
+    return [binding.spatial._q_ref.hex()
+            for network in landscape.networks.values()
+            for binding in network.bindings]
+
+
+#: A local offset in meters, out to a few station ranges past the city.
+_OFFSET = st.floats(min_value=-40_000.0, max_value=40_000.0)
+
+
+class TestSignalColumn:
+    @given(
+        stations=st.lists(
+            st.tuples(_OFFSET, _OFFSET,
+                      st.floats(min_value=0.05, max_value=3.0),
+                      st.floats(min_value=100.0, max_value=8_000.0)),
+            min_size=1, max_size=12),
+        points=st.lists(st.tuples(_OFFSET, _OFFSET), max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_exact_against_scalar_signal(self, stations, points):
+        anchor = madison_study_area().anchor
+        field = SpatialField(
+            stations=[BaseStation(i, anchor.offset(x, y), cap, rng_m)
+                      for i, (x, y, cap, rng_m) in enumerate(stations)],
+            origin=anchor,
+        )
+        pts = [anchor.offset(x, y) for x, y in points]
+        column = field.signal_column(pts)
+        assert column.dtype == np.float64 and column.shape == (len(pts),)
+        assert [v.hex() for v in column.tolist()] == [
+            field._signal(p).hex() for p in pts]
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_landscape_q_ref_matches_scalar_calibration(self, seed,
+                                                        monkeypatch):
+        calibrated = _q_refs(build_landscape(seed=seed))
+        monkeypatch.setattr(SpatialField, "calibrate", _scalar_calibrate)
+        assert calibrated == _q_refs(build_landscape(seed=seed))

@@ -117,7 +117,50 @@ for argv in commands:
 """
 
 
-def run_entry_point(script, *args, stdin=None):
+SERVE_RUN = """
+import contextlib, io, json, os, signal, sys, threading, time
+from pathlib import Path
+
+import repro.cli
+
+port_file = Path(sys.argv[1])
+
+def interrupt_once_listening():
+    while not (port_file.exists() and port_file.read_text().endswith("\\n")):
+        time.sleep(0.01)
+    os.kill(os.getpid(), signal.SIGINT)
+
+threading.Thread(target=interrupt_once_listening, daemon=True).start()
+with contextlib.redirect_stdout(io.StringIO()):
+    results = {"rc": repro.cli.main(
+        ["serve", "run", "--port", "0", "--port-file", str(port_file)])}
+"""
+
+STORE_QUERY = """
+import contextlib, io, json, sys
+
+import repro.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    results = {"rcs": [
+        repro.cli.main(["store", "init", sys.argv[1]]),
+        repro.cli.main(["store", "query", sys.argv[1], "--what", "runs"]),
+    ]}
+"""
+
+MONITOR = """
+import contextlib, io, json, sys
+
+import repro.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    results = {"rc": repro.cli.main(
+        ["monitor", "--buses", "2", "--hours", "0.3", "--telemetry",
+         sys.argv[1], "--snapshot-every", "900"])}
+"""
+
+
+def run_script(script, *args, stdin=None):
     """Run ``script`` in a fresh interpreter; its results and modules."""
     proc = subprocess.run(
         [sys.executable, "-c", script + REPORT, *map(str, args)],
@@ -125,7 +168,12 @@ def run_entry_point(script, *args, stdin=None):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    loaded = set(out.pop("modules"))
+    return out, set(out.pop("modules"))
+
+
+def run_entry_point(script, *args, stdin=None):
+    """:func:`run_script`, asserting that no :data:`HEAVY` module loaded."""
+    out, loaded = run_script(script, *args, stdin=stdin)
     assert [name for name in HEAVY if name in loaded] == []
     assert not any(name.startswith("numpy.") for name in loaded)
     return out, loaded
@@ -200,3 +248,34 @@ def test_operator_tools_load_no_simulation_stack(tmp_path):
     assert json.loads(report)
     assert (tmp_path / "db.sqlite").is_file()
     assert "repro.store" in loaded
+
+
+def cli_modules(loaded):
+    """The ``repro.cli`` package modules among ``loaded``."""
+    return {name for name in loaded
+            if name == "repro.cli" or name.startswith("repro.cli.")}
+
+
+def test_serve_run_loads_only_its_command_group(tmp_path):
+    out, loaded = run_entry_point(SERVE_RUN, tmp_path / "port")
+    assert out["rc"] == 0
+    assert cli_modules(loaded) == {
+        "repro.cli", "repro.cli.common", "repro.cli.serve"}
+
+
+def test_store_query_loads_only_its_command_group(tmp_path):
+    out, loaded = run_entry_point(STORE_QUERY, tmp_path / "db.sqlite")
+    assert out["rcs"] == [0, 0]
+    assert cli_modules(loaded) == {
+        "repro.cli", "repro.cli.common", "repro.cli.store"}
+
+
+def test_monitor_without_serve_metrics_leaves_http_server_unloaded(tmp_path):
+    out, loaded = run_script(MONITOR, tmp_path / "tel")
+    assert out["rc"] == 0
+    # The snapshots ran and wrote the exposition file...
+    assert (tmp_path / "tel" / "metrics.prom").exists()
+    # ...without the HTTP exporter's stdlib server.
+    assert "http.server" not in loaded
+    assert cli_modules(loaded) == {
+        "repro.cli", "repro.cli.common", "repro.cli.monitor"}

@@ -1,6 +1,7 @@
 """CLI surface tests for ``repro store`` and the store-aware commands."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -108,6 +109,21 @@ class TestStoreErrors:
         rc, _, err = run_cli(capsys, "store", "compact",
                              str(tmp_path / "nope.sqlite"))
         assert rc == 2 and "no such store" in err
+
+    def test_query_newer_schema_is_a_one_line_error(self, capsys,
+                                                    tmp_path):
+        db = str(tmp_path / "db.sqlite")
+        assert run_cli(capsys, "store", "init", db)[0] == 0
+        raw = sqlite3.connect(db)
+        with raw:
+            raw.execute("INSERT INTO schema_migrations (version, description)"
+                        " VALUES (99, 'written by newer code')")
+        raw.close()
+        rc, out, err = run_cli(capsys, "store", "query", db, "--what", "runs")
+        assert rc == 2 and out == ""
+        assert err == (f"{db}: database is at schema v99, newer than this "
+                       f"code's v3; refusing to downgrade (upgrade the code "
+                       f"instead)\n")
 
     def test_import_unimportable_dir(self, capsys, tmp_path):
         empty = tmp_path / "empty"

@@ -13,6 +13,7 @@ from repro.store.queries import logical_dump
 from repro.store.schema import (
     MIGRATIONS,
     SCHEMA_VERSION,
+    MigrationError,
     SchemaError,
     applied_versions,
     apply_migrations,
@@ -249,8 +250,11 @@ class TestPackedSamplesMigration:
             return real_pack(samples)
 
         monkeypatch.setattr(schema_module, "pack_samples", pack_then_fail)
-        with pytest.raises(StoreError):
+        with pytest.raises(StoreError) as excinfo:
             connect(path)
+        assert str(excinfo.value) == (
+            f"{path}: schema migration v3 failed (user-defined function "
+            f"raised exception); the file was left at schema v2")
         assert len(calls) == 3  # rows 0 and 1 were packed, then abort
         assert read_v2_rows() == before
 
@@ -260,6 +264,25 @@ class TestPackedSamplesMigration:
             assert schema_version(conn) == SCHEMA_VERSION
         finally:
             conn.close()
+
+    def test_raw_failure_is_a_sqlite_error_naming_the_version(
+            self, tmp_path, monkeypatch):
+        path = str(tmp_path / "v2.sqlite")
+        build_v2_store(path, v2_reports())
+
+        def pack_fails(samples):
+            raise ValueError("injected pack failure")
+
+        monkeypatch.setattr(schema_module, "pack_samples", pack_fails)
+        raw = sqlite3.connect(path, isolation_level=None)
+        try:
+            with pytest.raises(sqlite3.DatabaseError) as excinfo:
+                apply_migrations(raw)
+            assert isinstance(excinfo.value, MigrationError)
+            assert (excinfo.value.version, excinfo.value.left_at) == (3, 2)
+            assert schema_version(raw) == 2
+        finally:
+            raw.close()
 
     def test_failed_migration_is_a_sweep_reduce_warning(self, tmp_path,
                                                          monkeypatch):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import DISPATCH, build_parser, main
 
 
 class TestParser:
@@ -19,6 +19,31 @@ class TestParser:
                 [cmd] + (["standalone"] if cmd == "generate" else [])
             )
             assert callable(args.func)
+
+    def test_unknown_command_usage_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["no-such-command"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'no-such-command'" in err
+        assert "{" + ",".join(DISPATCH) + "}" in err
+
+    def test_command_error_names_the_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["monitor", "--buses", "many"])
+        assert excinfo.value.code == 2
+        assert ("repro monitor: error: argument --buses: invalid int "
+                "value: 'many'") in capsys.readouterr().err
+
+    def test_unrecognized_argument_usage_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["monitor", "--bogus"])
+        full = capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["monitor", "--bogus"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == full
+        assert "unrecognized arguments: --bogus" in full
 
 
 class TestVersion:

@@ -5,8 +5,10 @@ top level, each subcommand group and each leaf -- with each action's
 option strings, dest, default, type, choices, required flag, nargs,
 metavar and help, in registration order.  Comparing the structure
 instead of ``--help`` text keeps the check independent of the Python
-version, whose help formatting differs.  Regenerate the fixture only
-for a deliberate CLI change::
+version, whose help formatting differs.  ``main`` builds only the
+invoked command's parser (``repro.cli.DISPATCH``); each of those is
+checked against its subtree of the full parser, so the fixture covers
+them too.  Regenerate the fixture only for a deliberate CLI change::
 
     PYTHONPATH=src python -m tests.test_cli_parser > tests/data/cli_parsers.json
 """
@@ -16,7 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.cli import build_parser
+import pytest
+
+from repro.cli import DISPATCH, build_parser
 
 FIXTURE = Path(__file__).parent / "data" / "cli_parsers.json"
 
@@ -72,6 +76,35 @@ def test_parser_tree_matches_fixture():
     assert len(actual) == 26  # top level, 4 groups, 21 commands
     for prog, structure in expected.items():
         assert actual[prog] == structure, prog
+
+
+def test_dispatch_table_lists_every_top_level_command():
+    full = build_parser()
+    choices = next(a.choices for a in full._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert list(choices) == list(DISPATCH)
+
+
+def _subtree(dump, word):
+    prog = f"repro {word}"
+    return {name: structure for name, structure in dump.items()
+            if name == prog or name.startswith(prog + " ")}
+
+
+@pytest.mark.parametrize("word", list(DISPATCH))
+def test_command_parser_is_its_subtree_of_the_full_parser(word):
+    lazy = dump_parsers(build_parser(word))
+    full = dump_parsers(build_parser())
+    assert _subtree(lazy, word) and _subtree(lazy, word) == _subtree(full,
+                                                                      word)
+    # Nothing but the top level and the invoked command's tree.
+    assert set(lazy) == {"repro"} | set(_subtree(lazy, word))
+
+
+@pytest.mark.parametrize("word", [None, "--help", "--version",
+                                  "no-such-command"])
+def test_other_words_get_the_full_parser(word):
+    assert dump_parsers(build_parser(word)) == dump_parsers(build_parser())
 
 
 if __name__ == "__main__":
