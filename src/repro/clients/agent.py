@@ -220,7 +220,7 @@ class ClientAgent:
             point=point,
             speed_ms=speed,
             value=burst.throughput_bps,
-            samples=list(burst.rate_samples_bps),
+            samples=burst.rate_samples_bps,
             extras={
                 "loss_rate": loss,
                 "jitter_s": jitter_s,
@@ -258,6 +258,6 @@ class ClientAgent:
             point=point,
             speed_ms=speed,
             value=mean_rtt,
-            samples=list(result.rtts_s),
+            samples=result.rtts_s,
             extras={"failures": float(result.failures)},
         )

@@ -1,16 +1,24 @@
 """The coordinator <-> client protocol: tasks and reports.
 
-Kept deliberately small and serializable (plain dataclasses of scalars)
-— over a real deployment these would be JSON bodies on a control
-channel, and the dataset writers serialize reports in exactly that
-spirit.
+Kept deliberately small and serializable (dataclasses of scalars, plus
+one packed sample array per report) — over a real deployment these
+would be JSON bodies on a control channel, and the dataset writers
+serialize reports in exactly that spirit.
+
+Per-report samples have one layout per place they live: a plain list
+in JSON and wire payload dicts, an ``array("d")`` of doubles in a
+:class:`MeasurementReport`, and :func:`pack_samples` bytes (big-endian
+doubles) in the binary codec and the store.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geo.coords import GeoPoint
@@ -20,14 +28,22 @@ ZoneId = Tuple[int, int]
 
 
 def pack_samples(samples: Sequence[float]) -> bytes:
-    """A sample list as big-endian IEEE-754 doubles (``struct`` ``>Nd``).
+    """Samples as big-endian IEEE-754 doubles (``struct`` ``>Nd``).
 
     The one on-the-wire and on-disk layout for per-report samples: the
     binary codec's REPORT_BATCH and the store's ``samples.samples_f64``
-    column both hold exactly these bytes.  Every float, NaN and the
-    infinities included, round-trips bit for bit; an empty list packs to
-    ``b""``.
+    column both hold exactly these bytes.  Every float, NaN payloads and
+    the infinities included, round-trips bit for bit; an empty sequence
+    packs to ``b""``.  An ``array("d")`` (what a
+    :class:`MeasurementReport` holds) is copied and byte-swapped in C
+    instead of being unpacked into float objects; the bytes are the same.
     """
+    if type(samples) is array and samples.typecode == "d":
+        # The array holds native-order doubles; the layout is big-endian.
+        packed = array("d", samples)
+        if sys.byteorder == "little":
+            packed.byteswap()
+        return packed.tobytes()
     return struct.pack(f">{len(samples)}d", *samples)
 
 
@@ -80,6 +96,13 @@ class MeasurementReport:
     tasks, seconds of mean RTT for pings); ``samples`` optionally carries
     per-packet or per-probe values for distribution-level analysis;
     ``extras`` carries secondary metrics (jitter, loss, failures).
+
+    ``samples`` is always an ``array("d")``: any other iterable of
+    numbers is converted once on construction, and an ``array("d")``
+    passed in is kept as is, not copied.  Packed doubles take 8 B a
+    sample where a list of floats takes about 32 B.  Compare with
+    ``list(report.samples)`` when a list is wanted; an array never
+    equals a list.
     """
 
     task_id: int
@@ -91,8 +114,13 @@ class MeasurementReport:
     point: GeoPoint
     speed_ms: float
     value: float
-    samples: List[float] = field(default_factory=list)
+    samples: array = field(default_factory=partial(array, "d"))
     extras: Dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        samples = self.samples
+        if type(samples) is not array or samples.typecode != "d":
+            object.__setattr__(self, "samples", array("d", samples))
 
     @property
     def duration_s(self) -> float:

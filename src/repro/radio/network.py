@@ -157,6 +157,19 @@ def _as_latlon(points):
     )
 
 
+def _distinct(idx: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-negative index array, ascending.
+
+    What ``np.unique(idx)`` returns, without its import of ``numpy.ma``:
+    numpy 2 asks ``np.ma.is_masked`` on that path, which loads the whole
+    masked-array package into every process that simulates.  The indices
+    name bindings or failure patches, so a count per index stays small.
+    """
+    flat = idx.ravel()
+    assert flat.size == 0 or flat.min() >= 0, "indices must be >= 0"
+    return np.flatnonzero(np.bincount(flat))
+
+
 @dataclass(frozen=True)
 class FailurePatch:
     """A small area with a persistently sick link (paper Fig 9).
@@ -414,7 +427,7 @@ class CellularNetwork:
             pidx = np.full(lat.shape, -1, dtype=np.int64)
         smooth = np.empty(lat.shape, dtype=float)
         value = np.empty(lat.shape, dtype=float)
-        for bi in np.unique(bidx):
+        for bi in _distinct(bidx):
             m = bidx == bi
             f = self.bindings[int(bi)].spatial
             fx, fy = f.project_batch(lat[m], lon[m])
@@ -553,7 +566,7 @@ class CellularNetwork:
         load = np.empty(n, dtype=float)
         rate_scale = np.empty(n, dtype=float)
         jitter_scale = np.empty(n, dtype=float)
-        for bi in np.unique(bidx):
+        for bi in _distinct(bidx):
             m = bidx == bi
             b = self.bindings[int(bi)]
             temporal[m] = b.temporal.multiplier_batch(t[m])
@@ -591,7 +604,7 @@ class CellularNetwork:
 
         patched = pidx >= 0
         if patched.any():
-            for pi in np.unique(pidx[patched]):
+            for pi in _distinct(pidx[patched]):
                 patch = self.failure_patches[int(pi)]
                 m = pidx == pi
                 tm = t[m]

@@ -65,6 +65,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clients.protocol import (
@@ -578,7 +579,8 @@ def task_from_wire(data: Dict[str, Any]) -> MeasurementTask:
             params={str(k): float(v)
                     for k, v in (data.get("params") or {}).items()},
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError,
+            OverflowError) as exc:
         raise ProtocolError(f"malformed TASK payload: {exc}") from None
 
 
@@ -600,8 +602,26 @@ def report_to_wire(report: MeasurementReport) -> Dict[str, Any]:
     }
 
 
+def _wire_samples(samples: Any) -> array:
+    """A wire sample list as the report's ``array("d")``.
+
+    Built in C straight from the decoded list; anything the array
+    refuses with ``TypeError`` (numeric strings, a string of digits)
+    goes through ``float()`` per element, so exactly the inputs the
+    per-element conversion accepts are accepted.
+    """
+    try:
+        return array("d", samples)
+    except TypeError:
+        return array("d", [float(s) for s in samples])
+
+
 def report_from_wire(data: Dict[str, Any]) -> MeasurementReport:
-    """Wire dict -> ``MeasurementReport`` (:class:`ProtocolError` if malformed)."""
+    """Wire dict -> ``MeasurementReport`` (:class:`ProtocolError` if malformed).
+
+    A number too large for a double (a 400-digit integer is valid JSON)
+    is malformed too, not an ``OverflowError`` that ends the session.
+    """
     try:
         return MeasurementReport(
             task_id=int(data["task_id"]),
@@ -613,9 +633,9 @@ def report_from_wire(data: Dict[str, Any]) -> MeasurementReport:
             point=GeoPoint(float(data["lat"]), float(data["lon"])),
             speed_ms=float(data["speed_ms"]),
             value=float(data["value"]),
-            samples=[float(s) for s in (data.get("samples") or [])],
+            samples=_wire_samples(data.get("samples") or ()),
             extras={str(k): float(v)
                     for k, v in (data.get("extras") or {}).items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed REPORT payload: {exc}") from None

@@ -26,6 +26,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.clients.protocol import MeasurementReport, pack_samples
@@ -198,54 +199,49 @@ def ingest_reports(
     ).fetchone()
     seq = int(row[0]) + 1
 
-    pending = 0
-    in_tx = False
-    for report in reports:
-        if not in_tx:
-            conn.execute("BEGIN IMMEDIATE")
-            in_tx = True
-        outcome = validator.validate(report, report.start_s)
-        zone_q = zone_r = None
-        if outcome.ok:
-            zone_q, zone_r = grid.zone_id_for(report.point)
-        samples = report.samples if report.samples else [report.value]
-        conn.execute(
-            _SAMPLE_INSERT,
-            (
-                run_id, seq, report.task_id, report.client_id,
-                report.network.value, report.kind.value, zone_q, zone_r,
-                report.start_s, report.end_s, report.point.lat,
-                report.point.lon, report.speed_ms, report.value,
-                len(samples), pack_samples(samples),
-                _canon(dict(report.extras)),
-                1 if outcome.ok else 0, outcome.reason,
-            ),
-        )
-        result._count("samples")
-        if outcome.ok:
-            result.accepted += 1
-            conn.execute(
-                _ROLLUP_UPSERT,
-                (
-                    run_id, zone_q, zone_r,
-                    int(report.start_s // epoch),
-                    report.network.value, report.kind.value,
-                    len(samples), sum(samples),
-                    sum(s * s for s in samples),
-                    min(samples), max(samples),
-                    report.start_s, report.start_s,
-                ),
-            )
-        else:
-            result.rejected += 1
-        seq += 1
-        pending += 1
-        if pending >= batch_size:
-            conn.execute("COMMIT")
-            in_tx = False
-            pending = 0
-    if in_tx:
-        conn.execute("COMMIT")
+    it = iter(reports)
+    #: Each pass of the outer loop takes one batch's first report, so an
+    #: exhausted stream opens no empty transaction.  The batch streams
+    #: through ``islice``: a materialised list of ``batch_size`` rows
+    #: would add megabytes to the ingest's peak.
+    for first in it:
+        with transaction(conn):
+            for report in chain((first,), islice(it, max(batch_size, 1) - 1)):
+                outcome = validator.validate(report, report.start_s)
+                zone_q = zone_r = None
+                if outcome.ok:
+                    zone_q, zone_r = grid.zone_id_for(report.point)
+                samples = report.samples if report.samples else [report.value]
+                conn.execute(
+                    _SAMPLE_INSERT,
+                    (
+                        run_id, seq, report.task_id, report.client_id,
+                        report.network.value, report.kind.value, zone_q,
+                        zone_r, report.start_s, report.end_s,
+                        report.point.lat, report.point.lon, report.speed_ms,
+                        report.value, len(samples), pack_samples(samples),
+                        _canon(dict(report.extras)),
+                        1 if outcome.ok else 0, outcome.reason,
+                    ),
+                )
+                result._count("samples")
+                if outcome.ok:
+                    result.accepted += 1
+                    conn.execute(
+                        _ROLLUP_UPSERT,
+                        (
+                            run_id, zone_q, zone_r,
+                            int(report.start_s // epoch),
+                            report.network.value, report.kind.value,
+                            len(samples), sum(samples),
+                            sum(s * s for s in samples),
+                            min(samples), max(samples),
+                            report.start_s, report.start_s,
+                        ),
+                    )
+                else:
+                    result.rejected += 1
+                seq += 1
     rollups = conn.execute(
         "SELECT COUNT(*) FROM rollups WHERE run_id = ?", (run_id,)
     ).fetchone()

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -67,6 +68,26 @@ class TestMeasurementReport:
         assert self._report(value=float("nan")).is_failure()
         assert not self._report(value=5.0).is_failure()
 
+    def test_samples_are_packed_doubles(self):
+        assert self._report().samples == array("d")
+        report = MeasurementReport(
+            task_id=1, client_id="c", network=NetworkId.NET_B,
+            kind=MeasurementType.PING, start_s=10.0, end_s=12.0, point=P,
+            speed_ms=3.0, value=0.1, samples=[0.1, 1, True],
+        )
+        assert type(report.samples) is array
+        assert report.samples.typecode == "d"
+        assert list(report.samples) == [0.1, 1.0, 1.0]
+
+    def test_packed_samples_are_kept_not_copied(self):
+        samples = array("d", [0.25, 0.5])
+        report = MeasurementReport(
+            task_id=1, client_id="c", network=NetworkId.NET_B,
+            kind=MeasurementType.PING, start_s=10.0, end_s=12.0, point=P,
+            speed_ms=3.0, value=0.1, samples=samples,
+        )
+        assert report.samples is samples
+
     def test_kind_round_trips_as_string(self):
         assert MeasurementType("udp") is MeasurementType.UDP_TRAIN
         assert str(MeasurementType.TCP_DOWNLOAD) == "tcp"
@@ -100,3 +121,39 @@ class TestPackedSamples:
     def test_ragged_length_is_refused(self):
         with pytest.raises(struct.error):
             unpack_samples(pack_samples([1.0])[:7])
+
+
+#: Doubles drawn from their 64 bits, so NaNs carry arbitrary payloads
+#: and sign bits; ``st.floats`` alone yields few distinct NaNs.
+any_bits_floats = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack(">d", bits.to_bytes(8, "big"))[0]
+)
+
+
+class TestPackedArraySamples:
+    """``pack_samples`` of an ``array("d")`` equals the ``struct`` bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(any_bits_floats
+                    | st.floats(allow_nan=True, allow_infinity=True,
+                                allow_subnormal=True)))
+    @example([])
+    @example([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0])
+    @example([5e-324, -5e-324, 2.2250738585072e-308, 1.7976931348623157e308])
+    def test_array_path_is_bit_identical(self, xs):
+        packed = array("d", xs)
+        expected = struct.pack(f">{len(xs)}d", *xs)
+        assert pack_samples(packed) == expected
+        assert pack_samples(packed) == pack_samples(list(xs))
+        # The array itself is not byte-swapped in place.
+        assert packed.tobytes() == array("d", xs).tobytes()
+
+    @pytest.mark.parametrize("bits", [
+        "7ff8000000c0ffee",  # quiet NaN with a payload
+        "fff8000000000001",  # negative quiet NaN
+        "7ff0000000000001",  # signalling NaN
+    ])
+    def test_nan_payload_survives(self, bits):
+        nan = struct.unpack(">d", bytes.fromhex(bits))[0]
+        assert pack_samples(array("d", [nan])) == bytes.fromhex(bits)
+        assert pack_samples(array("d", [nan])) == pack_samples([nan])

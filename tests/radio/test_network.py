@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.geo.regions import NEW_BRUNSWICK, madison_spot_locations
 from repro.radio.events import football_game_event
-from repro.radio.network import build_landscape
+from repro.radio.network import _distinct, build_landscape
 from repro.radio.technology import NetworkId
 
 ALL = [NetworkId.NET_A, NetworkId.NET_B, NetworkId.NET_C]
@@ -120,3 +121,18 @@ class TestRegionBindings:
         net = landscape.network(NetworkId.NET_B)
         mid_road = landscape.road.sample_every(120_000.0)[1]
         assert net.binding_for(mid_road).name == "road"
+
+
+class TestDistinct:
+    @given(st.lists(st.integers(0, 40), max_size=60))
+    def test_matches_np_unique(self, values):
+        idx = np.asarray(values, dtype=np.int64)
+        assert _distinct(idx).tolist() == np.unique(idx).tolist()
+
+    def test_two_dimensional(self):
+        idx = np.array([[3, 1], [1, 7]], dtype=np.int64)
+        assert _distinct(idx).tolist() == [1, 3, 7]
+
+    def test_negative_index_refused(self):
+        with pytest.raises(AssertionError):
+            _distinct(np.array([0, -1], dtype=np.int64))

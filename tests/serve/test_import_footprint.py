@@ -279,3 +279,12 @@ def test_monitor_without_serve_metrics_leaves_http_server_unloaded(tmp_path):
     assert "http.server" not in loaded
     assert cli_modules(loaded) == {
         "repro.cli", "repro.cli.common", "repro.cli.monitor"}
+
+
+def test_monitor_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy 2's plain ``np.unique`` imports ``numpy.ma`` (about 1.3 MB of
+    # resident memory); the radio model's distinct-index loops avoid it.
+    out, loaded = run_script(MONITOR, tmp_path / "tel")
+    assert out["rc"] == 0
+    assert "numpy" in loaded
+    assert "numpy.ma" not in loaded

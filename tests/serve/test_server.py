@@ -199,6 +199,23 @@ class TestProtocolEdges:
 
         serve_scenario(scenario)
 
+    def test_integer_too_large_for_a_double_is_typed_error(self):
+        async def scenario(server):
+            reader, writer = await handshake(server)
+            payload = dict(synthetic_report(0, 0), value=10 ** 400)
+            await send(writer, {"type": "REPORT", "report": payload})
+            error = await read_frame(reader)
+            assert error["type"] == "ERROR"
+            assert error["code"] == "bad-frame"
+            assert "malformed REPORT" in error["detail"]
+            assert await read_frame(reader) is None
+            assert server.metrics.counter(
+                "serve.protocol_errors").value == 1
+            assert server.metrics.counter(
+                "serve.reports_received").value == 0
+
+        serve_scenario(scenario)
+
     def test_idle_timeout(self):
         async def scenario(server):
             reader, writer = await handshake(server)

@@ -4,6 +4,7 @@ import asyncio
 import json
 import math
 import struct
+from array import array
 
 import pytest
 
@@ -213,3 +214,60 @@ class TestReportCodec:
         del good["client_id"]
         with pytest.raises(ProtocolError):
             report_from_wire(good)
+
+    @pytest.mark.parametrize("field", [
+        "value", "start_s", "end_s", "lat", "lon", "speed_ms", "sample",
+        "extra",
+    ])
+    def test_integer_too_large_for_a_double_is_protocol_error(self, field):
+        # Valid JSON, but float() of it raises OverflowError.
+        huge = 10 ** 400
+        wire = json.loads(json.dumps(report_to_wire(self.make_report())))
+        if field == "sample":
+            wire["samples"][1] = huge
+        elif field == "extra":
+            wire["extras"]["loss"] = huge
+        else:
+            wire[field] = huge
+        with pytest.raises(ProtocolError, match="malformed REPORT"):
+            report_from_wire(wire)
+
+    def test_integer_too_large_in_a_task_is_protocol_error(self):
+        wire = task_to_wire(MeasurementTask(
+            task_id=1, network=NetworkId.NET_A, kind=MeasurementType.PING,
+        ))
+        wire["deadline_s"] = 10 ** 400
+        with pytest.raises(ProtocolError, match="malformed TASK"):
+            task_from_wire(wire)
+
+    def test_samples_decode_as_packed_doubles(self):
+        wire = report_to_wire(self.make_report())
+        assert type(wire["samples"]) is list
+        samples = report_from_wire(wire).samples
+        assert type(samples) is array and samples.typecode == "d"
+        assert list(samples) == wire["samples"]
+
+    @pytest.mark.parametrize("samples,expected", [
+        ([1, True, 0.5], [1.0, 1.0, 0.5]),
+        (["0.25", "nan", 2], [0.25, None, 2.0]),
+        ("12", [1.0, 2.0]),
+        ([], []),
+        (None, []),
+    ])
+    def test_sample_inputs_accepted_as_float_accepts_them(self, samples,
+                                                          expected):
+        wire = report_to_wire(self.make_report())
+        wire["samples"] = samples
+        got = list(report_from_wire(wire).samples)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert math.isnan(g) if e is None else g == e
+
+    @pytest.mark.parametrize("samples", [
+        ["north"], [None], [[1.0]], 5, 2.5,
+    ])
+    def test_sample_inputs_float_refuses_are_protocol_errors(self, samples):
+        wire = report_to_wire(self.make_report())
+        wire["samples"] = samples
+        with pytest.raises(ProtocolError):
+            report_from_wire(wire)

@@ -56,7 +56,8 @@ def write_v2_samples(conn, run_id, reports):
             outcome = validator.validate(report, report.start_s)
             zone_q, zone_r = (grid.zone_id_for(report.point) if outcome.ok
                               else (None, None))
-            samples = report.samples if report.samples else [report.value]
+            samples = (list(report.samples) if report.samples
+                       else [report.value])
             conn.execute(
                 "INSERT INTO samples (run_id, seq, task_id, client_id,"
                 " network, kind, zone_q, zone_r, start_s, end_s, lat, lon,"

@@ -1,6 +1,7 @@
 """Ingest-path tests (repro.store.writers): rollup math, idempotence."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,25 @@ class TestIngestReports:
         assert n == 23
         assert stored_rollups(store, run_id) == fold_rollups(store, run_id)
 
+    def test_failed_batch_rolls_back_and_closes_its_transaction(self, store):
+        def reports():
+            yield from (make_report(i) for i in range(5))
+            raise RuntimeError("report source failed mid-batch")
+
+        run_id = create_run(store, "r", "wal")
+        with pytest.raises(RuntimeError, match="mid-batch"):
+            ingest_reports(store, run_id, reports(), default_grid(),
+                           batch_size=2)
+        assert not store.in_transaction
+        # Batches [0, 1] and [2, 3] committed; [4, <error>] rolled back.
+        seqs = [seq for (seq,) in store.execute(
+            "SELECT seq FROM samples WHERE run_id = ? ORDER BY seq",
+            (run_id,))]
+        assert seqs == [0, 1, 2, 3]
+        assert stored_rollups(store, run_id) == fold_rollups(store, run_id)
+        # The connection is usable for the next write.
+        create_run(store, "next", "wal")
+
     def test_epoch_index_uses_run_epoch(self, store):
         run_id = create_run(store, "r", "wal", epoch_s=600.0)
         report = make_report(0, start_s=1250.0)
@@ -175,6 +195,57 @@ class TestImportWal:
             "SELECT DISTINCT zone_q, zone_r FROM samples"
             " WHERE run_id = ? AND accepted = 1", (run_id,))}
         assert got == want
+
+
+class TestImportAcrossCodecs:
+    """One loadgen stream over either codec stores the same rows.
+
+    The server logs decoded wire dicts, so a json session (one REPORT a
+    frame) and a binary session (struct-packed REPORT_BATCHes, the other
+    sample decode path) write the same WAL bytes, and ``store import``
+    of either WAL gives the same ``logical_dump``.
+    """
+
+    def serve_wal(self, wal_dir, codec, batch_size):
+        import asyncio
+
+        from repro.serve.loadgen import LoadgenConfig, run_loadgen
+        from repro.serve.server import CoordinatorServer, ServeConfig
+
+        async def body():
+            server = CoordinatorServer(ServeConfig(), wal_dir=str(wal_dir))
+            await server.start()
+            try:
+                #: One session at a time keeps the WAL order fixed.
+                return await run_loadgen(LoadgenConfig(
+                    port=server.port, clients=4, reports_per_client=12,
+                    concurrency=1, codec=codec, batch_size=batch_size,
+                ))
+            finally:
+                await server.stop()
+
+        result = asyncio.run(body())
+        assert (result.reports_acked, result.reports_dropped) == (48, 0)
+        return str(wal_dir)
+
+    def test_json_and_binary_store_equal_dumps(self, tmp_path):
+        from repro.serve.wal import wal_segments
+        from repro.store import logical_dump
+
+        dumps, wal_bytes = [], []
+        for codec, batch_size in (("json", 1), ("binary", 5)):
+            wal_dir = self.serve_wal(tmp_path / codec, codec, batch_size)
+            wal_bytes.append(b"".join(
+                Path(path).read_bytes() for path in wal_segments(wal_dir)
+            ))
+            conn = connect(str(tmp_path / f"{codec}.sqlite"))
+            try:
+                import_wal(conn, wal_dir, "wal")
+                dumps.append(json.dumps(logical_dump(conn), sort_keys=True))
+            finally:
+                conn.close()
+        assert wal_bytes[0] == wal_bytes[1]
+        assert dumps[0] == dumps[1]
 
 
 class TestImportTelemetry:

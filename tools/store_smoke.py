@@ -11,7 +11,10 @@ and asserts the two promises the store subsystem makes:
 
 * **replay identity** — ``repro serve replay --store`` (ingest the WAL,
   answer from the rollup tables) prints a JSON snapshot byte-identical
-  to the in-memory metrics-registry replay of the same WAL;
+  to the in-memory metrics-registry replay of the same WAL.  It is
+  checked once per session codec: a json session (one REPORT a frame)
+  and a binary one (struct-packed REPORT_BATCHes) decode samples on
+  different paths before the WAL logs them;
 * **report identity** — ``repro obs report --format json`` pointed at
   the store prints bytes identical to the same command pointed at the
   telemetry directory the run was imported from — and still does after
@@ -39,6 +42,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 CLIENTS = 20
 REPORTS_PER_CLIENT = 10
 START_TIMEOUT_S = 30.0
+#: Each codec's loadgen shape: json sends one REPORT a frame, binary
+#: packs REPORT_BATCHes.
+CODECS = (("json", 1), ("binary", 10))
 
 
 def _env():
@@ -57,10 +63,10 @@ def run_cli(*argv: str) -> str:
     return out.stdout
 
 
-def build_wal(tmp: str) -> str:
+def build_wal(tmp: str, codec: str, batch_size: int) -> str:
     """A short real serve session: server + loadgen, clean SIGINT stop."""
-    wal_dir = os.path.join(tmp, "wal")
-    port_file = os.path.join(tmp, "port")
+    wal_dir = os.path.join(tmp, f"wal-{codec}")
+    port_file = os.path.join(tmp, f"port-{codec}")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "run",
          "--port", "0", "--wal", wal_dir, "--port-file", port_file],
@@ -85,7 +91,8 @@ def build_wal(tmp: str) -> str:
         run_cli("serve", "loadgen", "--port", str(port),
                 "--clients", str(CLIENTS),
                 "--reports-per-client", str(REPORTS_PER_CLIENT),
-                "--concurrency", "8")
+                "--concurrency", "8", "--codec", codec,
+                "--batch-size", str(batch_size))
     finally:
         if proc.poll() is None:
             proc.send_signal(signal.SIGINT)
@@ -93,29 +100,40 @@ def build_wal(tmp: str) -> str:
     return wal_dir
 
 
+def check_replay(wal_dir: str, store: str, run: str, failures,
+                 replace: bool = False) -> str:
+    """Contract 1 for one WAL; returns the in-memory replay snapshot."""
+    plain = run_cli("serve", "replay", "--wal", wal_dir, "--format", "json")
+    stored = run_cli("serve", "replay", "--wal", wal_dir, "--store", store,
+                     "--run", run, *(["--replace"] if replace else []),
+                     "--format", "json")
+    if plain != stored:
+        failures.append(f"{run}: store replay snapshot differs from the "
+                        "in-memory WAL replay")
+    return plain
+
+
 def main() -> int:
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         store = os.path.join(tmp, "store.sqlite")
 
-        print(f"serve session: {CLIENTS}x{REPORTS_PER_CLIENT} reports "
-              "into a WAL ...")
-        wal_dir = build_wal(tmp)
+        wals = {}
+        for codec, batch_size in CODECS:
+            print(f"serve session ({codec}, batch {batch_size}): "
+                  f"{CLIENTS}x{REPORTS_PER_CLIENT} reports into a WAL ...")
+            wals[codec] = build_wal(tmp, codec, batch_size)
 
-        print("contract 1: replay --store vs in-memory replay ...")
-        plain = run_cli("serve", "replay", "--wal", wal_dir,
-                        "--format", "json")
-        stored = run_cli("serve", "replay", "--wal", wal_dir,
-                         "--store", store, "--run", "wal",
-                         "--format", "json")
-        if plain != stored:
-            failures.append("store replay snapshot differs from the "
-                            "in-memory WAL replay")
-        else:
-            counters = json.loads(plain)["counters"]
-            print(f"  byte-identical "
-                  f"({counters['coordinator.reports_ingested']:.0f} "
-                  "reports)")
+        for codec, wal_dir in wals.items():
+            print(f"contract 1 ({codec}): replay --store vs in-memory "
+                  "replay ...")
+            before = len(failures)
+            plain = check_replay(wal_dir, store, f"wal-{codec}", failures)
+            if len(failures) == before:
+                counters = json.loads(plain)["counters"]
+                print(f"  byte-identical "
+                      f"({counters['coordinator.reports_ingested']:.0f} "
+                      "reports)")
 
         print("monitor run with telemetry artifacts ...")
         live_dir = os.path.join(tmp, "live")
@@ -138,16 +156,15 @@ def main() -> int:
         print(run_cli("store", "compact", store).strip())
 
         print("re-verifying both contracts after compaction ...")
-        stored2 = run_cli("serve", "replay", "--wal", wal_dir,
-                          "--store", store, "--run", "wal",
-                          "--replace", "--format", "json")
-        if plain != stored2:
-            failures.append("replay identity broke after compaction")
+        before = len(failures)
+        for codec, wal_dir in wals.items():
+            check_replay(wal_dir, store, f"wal-{codec}", failures,
+                         replace=True)
         from_store2 = run_cli("obs", "report", store, "--run", "live",
                               "--format", "json")
         if from_dir != from_store2:
             failures.append("report identity broke after compaction")
-        if plain == stored2 and from_dir == from_store2:
+        if len(failures) == before:
             print("  both contracts still hold")
 
         stats = run_cli("store", "query", store, "--what", "stats",
