@@ -34,17 +34,15 @@ def pack_samples(samples: Sequence[float]) -> bytes:
     binary codec's REPORT_BATCH and the store's ``samples.samples_f64``
     column both hold exactly these bytes.  Every float, NaN payloads and
     the infinities included, round-trips bit for bit; an empty sequence
-    packs to ``b""``.  An ``array("d")`` (what a
-    :class:`MeasurementReport` holds) is copied and byte-swapped in C
-    instead of being unpacked into float objects; the bytes are the same.
+    packs to ``b""``.  The samples are copied into a fresh ``array("d")``
+    (native-order doubles) and byte-swapped in C on a little-endian host,
+    so an ``array("d")`` (what a :class:`MeasurementReport` holds) is
+    never unpacked into float objects.
     """
-    if type(samples) is array and samples.typecode == "d":
-        # The array holds native-order doubles; the layout is big-endian.
-        packed = array("d", samples)
-        if sys.byteorder == "little":
-            packed.byteswap()
-        return packed.tobytes()
-    return struct.pack(f">{len(samples)}d", *samples)
+    packed = array("d", samples)
+    if sys.byteorder == "little":
+        packed.byteswap()
+    return packed.tobytes()
 
 
 def unpack_samples(data: bytes) -> List[float]:

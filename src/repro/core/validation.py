@@ -37,21 +37,6 @@ class ValidationLimits:
     max_speed_ms: float = 120.0
 
 
-def _all_within(samples, upper: float) -> bool:
-    """True when every sample ``s`` satisfies ``0.0 < s <= upper``.
-
-    Three C-level passes instead of one Python-level comparison per
-    sample: NaN fails both comparisons, so it is looked for on its own
-    (``min``/``max`` order NaN arbitrarily), and with no NaN present the
-    extremes decide for every sample.  An empty sequence passes.
-    """
-    if not samples:
-        return True
-    if any(map(math.isnan, samples)):
-        return False
-    return 0.0 < min(samples) and max(samples) <= upper
-
-
 @dataclass
 class ValidationResult:
     """Outcome of validating one report."""
@@ -96,14 +81,16 @@ class ReportValidator:
         if report.kind is MeasurementType.PING:
             if not math.isnan(value) and not 0.0 < value <= limits.max_rtt_s:
                 return ValidationResult(False, "implausible-rtt")
-            if not _all_within(report.samples, limits.max_rtt_s):
+            if any(not 0.0 < s <= limits.max_rtt_s for s in report.samples):
                 return ValidationResult(False, "implausible-rtt-sample")
         else:
             if math.isnan(value):
                 return ValidationResult(False, "nan-throughput")
             if not 0.0 < value <= limits.max_throughput_bps:
                 return ValidationResult(False, "implausible-throughput")
-            if not _all_within(report.samples, limits.max_throughput_bps):
+            if any(
+                not 0.0 < s <= limits.max_throughput_bps for s in report.samples
+            ):
                 return ValidationResult(False, "implausible-sample")
         return ValidationResult(True)
 

@@ -3,7 +3,6 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from repro.clients.protocol import MeasurementReport, MeasurementType
 from repro.core.validation import ReportValidator, ValidationLimits
@@ -100,50 +99,11 @@ class TestCoordinatorIntegration:
         assert coordinator.stats.reports_ingested == 1
 
 
-def per_element_ok(samples, upper):
-    """The sample check as one comparison per sample (the reference)."""
-    return not any(not 0.0 < s <= upper for s in samples)
-
-
 LIMITS = ValidationLimits()
-
-#: The values where the checks' edges lie, next to arbitrary doubles.
-EDGE_SAMPLES = st.sampled_from([
-    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
-    2.2250738585072014e-308, 1.0, LIMITS.max_rtt_s, LIMITS.max_throughput_bps,
-    math.nextafter(LIMITS.max_rtt_s, math.inf),
-    math.nextafter(LIMITS.max_throughput_bps, math.inf),
-    math.nextafter(LIMITS.max_rtt_s, 0.0),
-])
-SAMPLES = st.lists(
-    EDGE_SAMPLES | st.floats(allow_nan=True, allow_infinity=True),
-    max_size=30,
-)
 
 
 class TestSampleChecks:
-    """The C-level sample check gives the per-element predicate's verdict."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(samples=SAMPLES, kind=st.sampled_from(
-        [MeasurementType.PING, MeasurementType.UDP_TRAIN]))
-    @example(samples=[], kind=MeasurementType.PING)
-    @example(samples=[LIMITS.max_rtt_s], kind=MeasurementType.PING)
-    @example(samples=[LIMITS.max_throughput_bps],
-             kind=MeasurementType.UDP_TRAIN)
-    def test_verdicts_match_per_element_predicate(self, samples, kind):
-        if kind is MeasurementType.PING:
-            value, upper, reason = 0.1, LIMITS.max_rtt_s, \
-                "implausible-rtt-sample"
-        else:
-            value, upper, reason = 1e6, LIMITS.max_throughput_bps, \
-                "implausible-sample"
-        result = ReportValidator().validate(
-            _report(value=value, kind=kind, samples=samples), now_s=110.0)
-        if per_element_ok(samples, upper):
-            assert result.ok
-        else:
-            assert (result.ok, result.reason) == (False, reason)
+    """Every sample must satisfy ``0 < s <= limit``; NaN never does."""
 
     @pytest.mark.parametrize("position", [0, 1, 5, 9])
     @pytest.mark.parametrize("nan", [math.nan, -math.nan])
