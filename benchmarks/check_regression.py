@@ -1,10 +1,11 @@
 """Perf-regression guard: fresh BENCH_perf.json vs BENCH_history.jsonl.
 
-``run_perf.py`` asserts absolute speedup floors (10x / 5x), which catch
-catastrophic regressions but not slow erosion — a change that drops a
-35x speedup to 20x sails through the floor.  This guard compares the
-fresh run's headline metrics (batch-path speedups, coordinator-service
-throughput) against the recent history tail::
+``run_perf.py`` asserts absolute speedup floors (10x / 5x / 3x), which
+catch catastrophic regressions but not slow erosion — a change that
+drops a 35x speedup to 20x sails through the floor.  This guard compares
+the fresh run's headline metrics (same-run speedups, and the serve and
+store rates ``python -m bench run`` measured) against the recent
+history tail::
 
     PYTHONPATH=src python benchmarks/run_perf.py
     python benchmarks/check_regression.py
@@ -41,10 +42,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 PERF_PATH = REPO_ROOT / "BENCH_perf.json"
 HISTORY_PATH = REPO_ROOT / "BENCH_history.jsonl"
 
-#: (section, key, direction, noise) tuples guarded.  ``direction``
-#: names which way regression points: "higher" metrics regress by
-#: dropping (speedups, throughput), "lower" metrics regress by rising
-#: (latency percentiles).  ``noise`` picks the threshold class:
+#: (path, direction, noise) tuples guarded; a metric's name is its
+#: path joined with ".".  ``direction`` names which way regression
+#: points: "higher" metrics regress by dropping (speedups, throughput),
+#: "lower" metrics regress by rising (latency).  ``noise`` picks the
+#: threshold class:
 #:
 #: * ``ratio`` — same-run ratios (batch vs scalar in one process, batched
 #:   vs unbatched against one server).  Neighbor load cancels out of a
@@ -55,25 +57,29 @@ HISTORY_PATH = REPO_ROOT / "BENCH_history.jsonl"
 #:   only a catastrophic move hard-fails; the 30% band still surfaces
 #:   as a ``::warning`` annotation for a human to eyeball.
 #:
-#: The speedup entries match run_perf.py's hard floors; serve keys have
-#: no absolute floor and are guarded only here, as non-regressions
-#: against the history median.  Keys absent from older history rows
-#: (e.g. ``reports_per_s_batched`` starts at PR 6) baseline cleanly:
-#: rows contribute per-key.
+#: The ratio entries match run_perf.py's hard floors.  The wall-clock
+#: rows have no absolute floor and are guarded only here: the serve and
+#: store rows are ``python -m bench run`` medians (``bench.<workload>``),
+#: and ``cluster.reports_per_s`` is null below 8 CPUs.  Keys absent from
+#: older history rows baseline cleanly: rows contribute per-key.
 TRACKED = (
-    ("link_state", "speedup_batch_vs_scalar", "higher", "ratio"),
-    ("udp_train", "speedup_batch_vs_reference", "higher", "ratio"),
-    ("serve", "speedup_batched_vs_unbatched", "higher", "ratio"),
-    ("serve", "reports_per_s", "higher", "wallclock"),
-    ("serve", "reports_per_s_batched", "higher", "wallclock"),
-    ("serve", "ack_p95_ms", "lower", "wallclock"),
-    ("cluster", "reports_per_s", "higher", "wallclock"),
-    ("store", "ingest_samples_per_s", "higher", "wallclock"),
+    (("link_state", "speedup_batch_vs_scalar"), "higher", "ratio"),
+    (("udp_train", "speedup_batch_vs_reference"), "higher", "ratio"),
+    (("serve", "speedup_batched_vs_unbatched"), "higher", "ratio"),
+    (("bench", "ingest-single", "wall.throughput_per_s"), "higher",
+     "wallclock"),
+    (("bench", "ingest-batch", "wall.throughput_per_s"), "higher",
+     "wallclock"),
+    (("bench", "ingest-single", "wall.latency_p50_ms"), "lower",
+     "wallclock"),
+    (("cluster", "reports_per_s"), "higher", "wallclock"),
+    (("bench", "store-live", "wall.throughput_per_s"), "higher",
+     "wallclock"),
 )
 
-#: (direction, noise) lookups for the check loop, keyed "section.key".
-_DIRECTION = {f"{s}.{k}": d for s, k, d, _ in TRACKED}
-_NOISE = {f"{s}.{k}": n for s, k, _, n in TRACKED}
+#: (direction, noise) lookups for the check loop, keyed by name.
+_DIRECTION = {".".join(p): d for p, d, _ in TRACKED}
+_NOISE = {".".join(p): n for p, _, n in TRACKED}
 
 WARN_DROP = 0.15
 FAIL_DROP = 0.30
@@ -86,7 +92,7 @@ BASELINE_RUNS = 5
 
 
 def _metrics(entry: dict) -> Dict[str, float]:
-    """Tracked metrics present in one result dict, keyed "section.key".
+    """Tracked metrics present in one result dict, keyed by name.
 
     Per-key tolerant by design: history predating a newly tracked
     metric (e.g. runs recorded before the serve bench existed) still
@@ -97,10 +103,12 @@ def _metrics(entry: dict) -> Dict[str, float]:
     history alike.
     """
     out: Dict[str, float] = {}
-    for section, key, _direction, _noise in TRACKED:
-        value = entry.get(section, {}).get(key)
+    for path, _direction, _noise in TRACKED:
+        value = entry
+        for key in path:
+            value = value.get(key) if isinstance(value, dict) else None
         if isinstance(value, (int, float)):
-            out[f"{section}.{key}"] = float(value)
+            out[".".join(path)] = float(value)
     return out
 
 

@@ -1,40 +1,49 @@
-"""Standalone perf harness for the vectorized ground-truth path.
+"""Same-process speedup gates, plus the benchmark of record's rates.
 
-Times the scalar reference implementations against the batched/cached
-ones and writes ``BENCH_perf.json`` at the repo root (plus one
-seed-stamped entry appended to ``BENCH_history.jsonl``, so successive
-runs accumulate instead of overwriting each other).  Run with::
+Times fast paths against their references and writes ``BENCH_perf.json``
+at the repo root (plus one seed-stamped entry appended to
+``BENCH_history.jsonl``, so successive runs accumulate instead of
+overwriting each other).  Run with::
 
     PYTHONPATH=src python benchmarks/run_perf.py [--seed N]
 
-The headline numbers (also asserted here so CI catches regressions):
+Each gate is a ratio of two paths timed on one host in one run, so
+neighbour load cancels out of it:
 
 * ``link_state_batch`` over 10k points vs 10k scalar ``link_state``
   calls — must be >= 10x;
 * ``udp_train_batch`` per-train cost vs the frozen per-packet
   ``udp_train_reference`` — must be >= 5x;
-* the sharded sweep over an 8-cell scheduler-ablation grid, 4 workers
-  vs serial — must be >= 2x *when the machine has >= 4 CPUs* (below
-  that the speedup is recorded as ``null`` with a "not measured:
-  cpu_count=N" reason, beside the raw timings), and the merged
-  artifacts must be byte-identical across worker counts;
-* the coordinator service under a 1000-client loadgen, run in both wire
-  shapes: the PR-5 exchange (one JSON REPORT per frame) — recorded as
-  ``serve.reports_per_s`` for history comparability — and the batched
-  binary path (REPORT_BATCH frames + range ACKs + WAL group commit),
-  which must sustain >= 3x the unbatched rate; zero dropped reports and
-  a byte-identical WAL replay per codec are hard gates (for where the
-  time goes, ``python -m bench run --trace`` attributes it per layer);
-* the zone-sharded cluster: the same 4-process gateway-routed loadgen
-  against a 1-shard and a 3-shard cluster — 3 shards must sustain
-  >= 2.5x the 1-shard rate *when >= 8 CPUs are visible* (``null``
-  with a reason below that), with zero drops and the aggregated
-  live-vs-replay byte-compare as unconditional hard gates; the 3-shard rate is
-  recorded as ``cluster.reports_per_s`` for the history guard;
-* the measurement store: 100k synthetic reports ingested with
-  incremental rollups (``store.ingest_samples_per_s`` for the history
-  guard), and the rollup-table replay query must answer byte-identically
-  to — and >= 2x faster than — a full JSONL refold of the same stream.
+* the coordinator service under a 1000-client loadgen: the batched
+  binary path (REPORT_BATCH frames + range ACKs + WAL group commit)
+  must sustain >= 3x the unbatched one (one JSON REPORT per frame),
+  with no report dropped;
+* the measurement store: the rollup-table replay query over 100k
+  synthetic reports must be >= 2x faster than a full JSONL refold of
+  the same stream;
+* the sweep over an 8-cell scheduler-ablation grid, 4 workers vs
+  serial — >= 2x, on >= 4 CPUs;
+* the zone-sharded cluster, 3 shards vs 1 under 4 loadgen processes —
+  >= 2.5x, on >= 8 CPUs.
+
+A core-bound ratio is recorded as ``null`` with a "not measured:
+cpu_count=N" reason on a host below its CPU floor, and nothing is
+started for it: a speedup measured on fewer cores than it has workers
+says nothing about the code.
+
+The byte-identity contracts are checked where they live, not here:
+WAL replay and zero drops by ``python -m bench run`` (ingest-*) and
+``tools/serve_smoke.py``; aggregated cluster replay by
+``tools/serve_smoke.py --cluster``; the store snapshot against the
+registry fold by the bench's store-live and ``tools/store_smoke.py``;
+sweep artifacts against the worker count by
+``tests/sweep/test_determinism.py``.
+
+Serve and store rates come from the benchmark of record:
+``bench.run.run_child`` (what ``python -m bench run`` calls) runs
+ingest-single, ingest-batch and store-live, and their wall-clock
+medians and host shape go into the ``bench`` section, which
+``check_regression.py`` guards against history.
 """
 
 from __future__ import annotations
@@ -57,6 +66,14 @@ from repro.radio.technology import NetworkId
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_perf.json"
 HISTORY_PATH = REPO_ROOT / "BENCH_history.jsonl"
+
+#: ``bench`` sits beside ``src``; run as a script, only ``benchmarks/``
+#: and ``PYTHONPATH`` are on the path.
+if not __package__:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from bench.run import run_child  # noqa: E402
+from bench.workloads import WALL_METRICS  # noqa: E402
 
 N_POINTS = 10_000
 N_TRAINS = 50
@@ -196,17 +213,21 @@ SWEEP_MIN_CPUS = 4
 CLUSTER_MIN_CPUS = 8
 
 
-def core_bound_ratio(key, ratio, cpu_count, min_cpus):
-    """``{key: ratio}``, or ``None`` plus a reason on too few CPUs.
+def core_bound(cpu_count, min_cpus, bench, *keys):
+    """``bench()``'s section, or its ``keys`` as not measured.
 
-    A parallel speedup measured on fewer cores than it has workers says
-    nothing about the code, so it is recorded as not measured (the raw
-    timings beside it are still kept) rather than as a misleading ratio.
+    Below ``min_cpus`` the bench is not run at all (it would start more
+    workers than the host has cores); each key is ``None`` with a
+    "not measured: cpu_count=N" reason instead.  Either way the section
+    records the ``cpu_count`` it was decided on.
     """
     if cpu_count >= min_cpus:
-        return {key: ratio}
-    return {key: None,
-            f"{key}_reason": f"not measured: cpu_count={cpu_count}"}
+        return {"cpu_count": cpu_count, **bench()}
+    section = {"cpu_count": cpu_count}
+    for key in keys:
+        section[key] = None
+        section[f"{key}_reason"] = f"not measured: cpu_count={cpu_count}"
+    return section
 
 
 def _ratio_text(section, key):
@@ -220,8 +241,7 @@ def bench_sweep():
 
     Uses the scheduler-ablation scenario (pure simulation, no shared
     I/O) at 8 cells x 12 sim-hours so per-cell compute dominates worker
-    startup.  Also byte-compares the merged artifacts — the sweep's
-    determinism guarantee is part of the perf contract.
+    startup.
     """
     from repro.sweep import SweepGrid, SweepRunner
 
@@ -234,26 +254,16 @@ def bench_sweep():
         )
 
     with tempfile.TemporaryDirectory() as tmp:
-        serial_dir = os.path.join(tmp, "serial")
-        pooled_dir = os.path.join(tmp, "pooled")
-        serial = SweepRunner(grid(), serial_dir, workers=1).run()
-        pooled = SweepRunner(grid(), pooled_dir, workers=4).run()
-        identical = all(
-            Path(serial_dir, fn).read_bytes() ==
-            Path(pooled_dir, fn).read_bytes()
-            for fn in ("summary.jsonl", "metrics.json")
-        )
-    cpu_count = _cpu_count()
+        serial = SweepRunner(grid(), os.path.join(tmp, "serial"),
+                             workers=1).run()
+        pooled = SweepRunner(grid(), os.path.join(tmp, "pooled"),
+                             workers=4).run()
     return {
         "cells": serial.total,
         "cells_ok": min(serial.ok, pooled.ok),
         "serial_s": serial.wall_s,
         "workers4_s": pooled.wall_s,
-        **core_bound_ratio("speedup_4workers_vs_serial",
-                           serial.wall_s / pooled.wall_s, cpu_count,
-                           SWEEP_MIN_CPUS),
-        "cpu_count": cpu_count,
-        "artifacts_byte_identical": identical,
+        "speedup_4workers_vs_serial": serial.wall_s / pooled.wall_s,
     }
 
 
@@ -269,99 +279,77 @@ SERVE_REPEATS = 3
 
 
 def _run_serve_shape(codec, batch_size, clients, per_client, concurrency):
-    """One loadgen run against a fresh in-process WAL-backed server.
-
-    Returns ``(LoadgenResult, wal_replay_byte_identical)`` for the
-    given codec/batch shape; every shape gets its own WAL so the
-    replay byte-compare is per codec.
-    """
+    """One loadgen run against a fresh in-process WAL-backed server."""
     import asyncio
 
     from repro.serve.loadgen import LoadgenConfig, run_loadgen
-    from repro.serve.server import CoordinatorServer, ServeConfig, replay_wal
+    from repro.serve.server import CoordinatorServer, ServeConfig
 
     async def body(wal_dir):
         server = CoordinatorServer(ServeConfig(), wal_dir=wal_dir)
         await server.start()
         try:
-            result = await run_loadgen(LoadgenConfig(
+            return await run_loadgen(LoadgenConfig(
                 port=server.port, clients=clients,
                 reports_per_client=per_client, concurrency=concurrency,
                 codec=codec, batch_size=batch_size,
             ))
-            return result, server.coordinator.metrics.to_json()
         finally:
             await server.stop()
 
     with tempfile.TemporaryDirectory() as tmp:
-        wal_dir = os.path.join(tmp, "wal")
-        result, live_metrics = asyncio.run(body(wal_dir))
-        replay_identical = (
-            replay_wal(wal_dir).metrics.to_json() == live_metrics
-        )
-    return result, replay_identical
+        return asyncio.run(body(os.path.join(tmp, "wal")))
 
 
-def _best_serve_shape(codec, batch_size, clients, per_client, concurrency,
-                      repeats=SERVE_REPEATS):
-    """Best-of-``repeats`` serve shape: fastest run, AND of correctness.
+def _best_serve_shape(codec, batch_size, clients, per_client, concurrency):
+    """Fastest of ``SERVE_REPEATS`` runs, with drops summed over all.
 
-    Throughput/latency come from the fastest repeat (noise only ever
-    subtracts); the two hard properties — zero drops and byte-identical
-    WAL replay — must hold on *every* repeat, so repetition tightens
-    the correctness gates rather than letting one good run mask a bad
-    one.  Each repeat starts from a collected heap so the serve bench
-    is not taxed for garbage left by the benches before it.
+    Throughput comes from the fastest repeat (noise only ever
+    subtracts); a drop in any repeat still counts.  Each repeat starts
+    from a collected heap so the serve bench is not taxed for garbage
+    left by the benches before it.
     """
     import gc
 
     best = None
-    replay_all = True
     drops = retries = 0
-    for _ in range(max(1, repeats)):
+    for _ in range(SERVE_REPEATS):
         #: Collect then freeze: the landscape/trace graphs built by the
         #: benches before this one otherwise get rescanned by every
         #: gen-2 pass *during* the shape, taxing serve ~20% for garbage
         #: that isn't its own.
         gc.collect()
         gc.freeze()
-        result, replay_identical = _run_serve_shape(
+        result = _run_serve_shape(
             codec, batch_size, clients, per_client, concurrency
         )
-        replay_all = replay_all and replay_identical
         drops += result.reports_dropped
         retries += result.retries
         if best is None or result.reports_per_s > best.reports_per_s:
             best = result
-    return best, replay_all, drops, retries
+    return best, drops, retries
 
 
 def bench_serve():
-    """Loadgen throughput against a live, WAL-backed coordinator service.
+    """Batched vs unbatched loadgen throughput against one service shape.
 
-    Runs 1000 client sessions over loopback TCP against an in-process
-    :class:`CoordinatorServer`, twice: the PR-5 wire exchange (one JSON
-    REPORT per frame, one ACK each, 5 reports per client — the
-    history-comparable shape) and the batched binary path (clients
-    coalescing ``SERVE_BATCH_SIZE`` reports per REPORT_BATCH frame,
-    range ACKs, WAL group commit).  Each shape is measured
-    ``SERVE_REPEATS`` times; the fastest run is recorded while the
-    correctness properties must hold on every repeat.  The headline
-    gate is the batched path sustaining >= 3x the unbatched rate; zero
-    dropped reports and a byte-identical offline WAL replay are hard
-    gates for *both* codecs.
+    Runs 1000 client sessions over loopback TCP against an in-process,
+    WAL-backed :class:`CoordinatorServer`, twice: one JSON REPORT per
+    frame with one ACK each (5 reports per client), and the batched
+    binary path (clients coalescing ``SERVE_BATCH_SIZE`` reports per
+    REPORT_BATCH frame, range ACKs, WAL group commit).  The gate is the
+    batched path sustaining >= 3x the unbatched rate, with no report
+    dropped on either.  The two rates are this ratio's inputs; the
+    service's guarded rates come from the benchmark of record.
     """
     clients = 1000
-
-    #: PR-5 shape, unchanged so ``reports_per_s`` stays comparable
-    #: across the whole bench history.
-    unbatched, replay_json, drops_json, retries_json = _best_serve_shape(
+    unbatched, drops_json, retries_json = _best_serve_shape(
         "json", 1, clients, 5, 64
     )
     #: Batched shape: each client pushes one coalesced 50-report frame
     #: (lower concurrency keeps in-flight reports inside the default
     #: ingest budget, so throughput is measured without RETRY churn).
-    batched, replay_binary, drops_bin, retries_bin = _best_serve_shape(
+    batched, drops_bin, retries_bin = _best_serve_shape(
         "binary", SERVE_BATCH_SIZE, clients, SERVE_BATCH_SIZE, 16
     )
     return {
@@ -370,22 +358,13 @@ def bench_serve():
         "concurrency": 64,
         "batch_size": SERVE_BATCH_SIZE,
         "serve_repeats": SERVE_REPEATS,
-        "reports_acked": unbatched.reports_acked,
         "reports_dropped": drops_json + drops_bin,
         "retries": retries_json + retries_bin,
-        "elapsed_s": unbatched.elapsed_s,
-        "reports_per_s": unbatched.reports_per_s,
-        "ack_p50_ms": unbatched.ack_p50_ms,
-        "ack_p95_ms": unbatched.ack_p95_ms,
-        "ack_p99_ms": unbatched.ack_p99_ms,
-        #: Batched binary — the throughput path this bench gates.
-        "batched_reports_acked": batched.reports_acked,
-        "reports_per_s_batched": batched.reports_per_s,
-        "batched_ack_p95_ms": batched.ack_p95_ms,
+        "unbatched_reports_per_s": unbatched.reports_per_s,
+        "batched_reports_per_s": batched.reports_per_s,
         "speedup_batched_vs_unbatched": (
             batched.reports_per_s / max(unbatched.reports_per_s, 1e-9)
         ),
-        "wal_replay_byte_identical": replay_json and replay_binary,
     }
 
 
@@ -404,14 +383,11 @@ def _run_cluster_shape(shards):
     """One multi-process loadgen run against an N-shard cluster.
 
     Starts ``repro serve cluster`` (gateway + ``shards`` shard
-    subprocesses), drives it with ``CLUSTER_WORKERS`` parallel
+    subprocesses) and drives it with ``CLUSTER_WORKERS`` parallel
     ``repro serve loadgen --cluster`` processes over disjoint client
-    populations, and returns throughput plus the two hard properties:
-    zero drops anywhere, and the gateway's aggregated STATS
-    byte-matching an offline ``serve replay --cluster``.  The rate is
-    total ACKed reports over the slowest worker's internal elapsed time
-    — worker startup (interpreter + map fetch) is excluded, shard-side
-    work is not.
+    populations.  The rate is total ACKed reports over the slowest
+    worker's internal elapsed time — worker startup (interpreter + map
+    fetch) is excluded, shard-side work is not.
     """
     import signal
     import subprocess
@@ -428,16 +404,14 @@ def _run_cluster_shape(shards):
                 out = proc.stdout.read() if proc.stdout else ""
                 raise RuntimeError(f"cluster exited during startup:\n{out}")
             time.sleep(0.05)
-        proc.kill()
         raise RuntimeError("cluster did not write its port file in time")
 
     with tempfile.TemporaryDirectory() as tmp:
-        cluster_dir = os.path.join(tmp, "cluster")
         port_file = Path(tmp, "gateway-port")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "cluster",
-             "--dir", cluster_dir, "--shards", str(shards),
-             "--port-file", str(port_file)],
+             "--dir", os.path.join(tmp, "cluster"),
+             "--shards", str(shards), "--port-file", str(port_file)],
             env=env, cwd=str(REPO_ROOT),
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
@@ -473,41 +447,16 @@ def _run_cluster_shape(shards):
                 acked += d["reports_acked"]
                 dropped += d["reports_dropped"]
                 slowest = max(slowest, d["elapsed_s"])
-
-            import asyncio
-
-            from repro.serve.driver import ServeSession
-
-            async def agg():
-                async with ServeSession("127.0.0.1", gw_port,
-                                        client_id="bench-stats",
-                                        networks=[]) as session:
-                    return (await session.stats())["coordinator"]
-
-            live = asyncio.run(agg())
+            # SIGTERM lets the supervisor stop its shard processes.
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=30.0)
-            replay = subprocess.run(
-                [sys.executable, "-m", "repro", "serve", "replay",
-                 "--wal", cluster_dir, "--cluster", "--format", "json"],
-                env=env, cwd=str(REPO_ROOT),
-                capture_output=True, text=True, check=True,
-            )
-            canonical = dict(sort_keys=True, separators=(",", ":"))
-            identical = (
-                json.dumps(live, **canonical)
-                == json.dumps(json.loads(replay.stdout), **canonical)
-            )
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
     return {
-        "reports_acked": acked,
         "reports_dropped": dropped,
-        "elapsed_s": slowest,
         "reports_per_s": acked / max(slowest, 1e-9),
-        "replay_byte_identical": identical,
     }
 
 
@@ -519,70 +468,45 @@ def bench_cluster():
     gateway-routed client path, so the single difference is how many
     shard processes share the ingest work.  Records
     ``cluster.reports_per_s`` (the 3-shard rate) for the history guard
-    and the 3-vs-1 ``speedup_3shard_vs_1shard``; zero drops and the
-    aggregated live-vs-replay byte-compare are hard gates on both
-    shapes.  Best-of-``CLUSTER_REPEATS`` for the rates, AND over the
-    correctness bits.
+    and the 3-vs-1 ``speedup_3shard_vs_1shard``, each the best of
+    ``CLUSTER_REPEATS``; drops are summed over every run.
     """
     def best_of(shards):
-        best = None
-        drops = 0
-        replay_ok = True
-        for _ in range(max(1, CLUSTER_REPEATS)):
-            r = _run_cluster_shape(shards)
-            drops += r["reports_dropped"]
-            replay_ok = replay_ok and r["replay_byte_identical"]
-            if best is None or r["reports_per_s"] > best["reports_per_s"]:
-                best = r
-        best["reports_dropped"] = drops
-        best["replay_byte_identical"] = replay_ok
-        return best
+        runs = [_run_cluster_shape(shards) for _ in range(CLUSTER_REPEATS)]
+        return (max(r["reports_per_s"] for r in runs),
+                sum(r["reports_dropped"] for r in runs))
 
-    single = best_of(1)
-    three = best_of(3)
-    cpu_count = _cpu_count()
+    single, single_drops = best_of(1)
+    three, three_drops = best_of(3)
     return {
         "workers": CLUSTER_WORKERS,
         "clients": CLUSTER_WORKERS * CLUSTER_CLIENTS_PER_WORKER,
         "reports_per_client": CLUSTER_REPORTS_PER_CLIENT,
         "batch_size": SERVE_BATCH_SIZE,
         "cluster_repeats": CLUSTER_REPEATS,
-        "cpu_count": cpu_count,
-        "reports_acked": three["reports_acked"],
-        "reports_dropped": single["reports_dropped"]
-        + three["reports_dropped"],
-        "elapsed_s": three["elapsed_s"],
+        "reports_dropped": single_drops + three_drops,
         #: The history-guarded headline: 3-shard cluster throughput.
-        "reports_per_s": three["reports_per_s"],
-        "reports_per_s_1shard": single["reports_per_s"],
-        **core_bound_ratio(
-            "speedup_3shard_vs_1shard",
-            three["reports_per_s"] / max(single["reports_per_s"], 1e-9),
-            cpu_count, CLUSTER_MIN_CPUS,
-        ),
-        "replay_byte_identical": (
-            single["replay_byte_identical"]
-            and three["replay_byte_identical"]
-        ),
+        "reports_per_s": three,
+        "reports_per_s_1shard": single,
+        "speedup_3shard_vs_1shard": three / max(single, 1e-9),
     }
 
 
-#: Synthetic reports ingested by the store bench (~300k sample values).
+#: Synthetic reports behind the store bench (~300k sample values).
 N_STORE_REPORTS = 100_000
 
 
 def bench_store():
-    """Measurement-store ingest rate and rollup-vs-refold query latency.
+    """Rollup-table replay query vs a full JSONL refold of one stream.
 
     Ingests ``N_STORE_REPORTS`` synthetic reports (pure index
     arithmetic — no landscape build, so the bench isolates store cost)
-    into a fresh store, then answers the replay-counter question two
+    into a fresh store, then times the replay-counter question two
     ways: a SELECT over the incrementally-maintained rollup tables,
     and a full re-fold of the same stream from a JSONL file (parse +
-    re-validate + accumulate — what every query cost before the
-    store existed).  The two snapshots must be byte-identical; the
-    rollup path must be >= 2x faster.  ``ingest_samples_per_s`` is the
-    history-guarded headline.
+    re-validate + accumulate — what every query cost before the store
+    existed), each building the same snapshot.  The rollup path must
+    be >= 2x faster.
     """
     from repro.clients.protocol import MeasurementReport, MeasurementType
     from repro.core.validation import ReportValidator
@@ -622,7 +546,6 @@ def bench_store():
         )
 
     reports = [synth(i) for i in range(N_STORE_REPORTS)]
-    n_samples = sum(len(r.samples) or 1 for r in reports)
     grid = ZoneGrid(anchor, radius_m=250.0)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -634,9 +557,7 @@ def bench_store():
 
         conn = connect(os.path.join(tmp, "bench.sqlite"))
         run_id = create_run(conn, "bench", kind="bench")
-        t0 = time.perf_counter()
         ingest_reports(conn, run_id, reports, grid)
-        ingest_s = time.perf_counter() - t0
 
         def query_store():
             return replay_snapshot(conn, run_id)
@@ -670,24 +591,50 @@ def bench_store():
             return {"counters": counters, "gauges": {},
                     "histograms": {}}
 
-        identical = (
-            json.dumps(query_store(), sort_keys=True)
-            == json.dumps(refold_jsonl(), sort_keys=True)
-        )
         query_s = _time(query_store, repeat=5)
         refold_s = _time(refold_jsonl, repeat=3)
         conn.close()
     return {
         "reports": N_STORE_REPORTS,
-        "samples": n_samples,
-        "ingest_s": ingest_s,
-        "ingest_samples_per_s": n_samples / max(ingest_s, 1e-9),
-        "ingest_reports_per_s": N_STORE_REPORTS / max(ingest_s, 1e-9),
         "rollup_query_ms": query_s * 1e3,
         "jsonl_refold_ms": refold_s * 1e3,
         "speedup_query_vs_refold": refold_s / max(query_s, 1e-9),
-        "snapshot_byte_identical": identical,
     }
+
+
+#: The bench workloads whose wall-clock medians ``check_regression.py``
+#: guards, each run once by ``bench.run.run_child`` untraced.
+BENCH_WORKLOADS = ("ingest-single", "ingest-batch", "store-live")
+BENCH_SEED = 1
+#: Seconds per workload.  A run always makes at least two passes, and
+#: on a 2-vCPU host two passes of each workload take about this long or
+#: longer (ingest-single's ~16 s), so it bounds only faster hosts' runs.
+BENCH_SECONDS = 10.0
+
+
+def bench_of_record():
+    """``({workload: entry}, failures)`` from the benchmark of record.
+
+    An entry holds the workload's ``wall.*`` medians and the host shape
+    it ran on; a workload that gives no result (``None``) or fails its
+    own correctness check is a failure.
+    """
+    entries, failures = {}, []
+    for name in BENCH_WORKLOADS:
+        result = run_child(name, BENCH_SEED, BENCH_SECONDS, trace=False)
+        if result is None:
+            entries[name] = None
+            failures.append(f"bench workload {name} gave no result")
+            continue
+        entries[name] = {
+            "correct": result["correct"],
+            **{key: result["metrics"][key] for key in WALL_METRICS},
+            "host": result["host"],
+        }
+        if not result["correct"]:
+            failures.append(f"bench workload {name} failed its check: "
+                            + "; ".join(result["errors"]))
+    return entries, failures
 
 
 def main():
@@ -706,22 +653,28 @@ def main():
         )
         for _ in range(N_POINTS)
     ]
+    cpu_count = _cpu_count()
 
     print("timing link-state path ...")
     link = bench_link_state(landscape, points)
     print("timing udp trains ...")
     udp = bench_udp(landscape, point)
-    print("timing sharded sweep (serial vs 4 workers) ...")
-    sweep = bench_sweep()
     print("timing coordinator service (1000-client loadgen, "
           "unbatched json vs batched binary) ...")
     serve = bench_serve()
-    print("timing sharded cluster (1-shard vs 3-shard, 4 loadgen "
-          "worker processes) ...")
-    cluster = bench_cluster()
-    print("timing measurement store (100k-report ingest, rollup query "
-          "vs JSONL refold) ...")
+    print("timing measurement store (rollup query vs JSONL refold) ...")
     store = bench_store()
+    print(f"timing sharded sweep (serial vs 4 workers) on {cpu_count} "
+          "CPU(s) ...")
+    sweep = core_bound(cpu_count, SWEEP_MIN_CPUS, bench_sweep,
+                       "speedup_4workers_vs_serial")
+    print(f"timing sharded cluster (1-shard vs 3-shard) on {cpu_count} "
+          "CPU(s) ...")
+    cluster = core_bound(cpu_count, CLUSTER_MIN_CPUS, bench_cluster,
+                         "reports_per_s", "speedup_3shard_vs_1shard")
+    print(f"running bench workloads {', '.join(BENCH_WORKLOADS)} "
+          f"(seed {BENCH_SEED}, {BENCH_SECONDS:g} s each) ...")
+    bench, failures = bench_of_record()
 
     manifest = RunManifest(
         run_kind="bench-perf",
@@ -738,10 +691,11 @@ def main():
         "train_packets": TRAIN_PACKETS,
         "link_state": link,
         "udp_train": udp,
-        "sweep": sweep,
         "serve": serve,
-        "cluster": cluster,
         "store": store,
+        "sweep": sweep,
+        "cluster": cluster,
+        "bench": bench,
         "manifest": manifest.to_dict(),
     }
     OUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
@@ -755,7 +709,6 @@ def main():
     print(json.dumps(results, indent=2))
     print(f"\nwrote {OUT_PATH}; appended to {HISTORY_PATH}")
 
-    failures = []
     if link["speedup_batch_vs_scalar"] < 10.0:
         failures.append(
             "link_state_batch(10k) speedup "
@@ -766,20 +719,9 @@ def main():
             "udp_train_batch speedup "
             f"{udp['speedup_batch_vs_reference']:.1f}x < 5x"
         )
-    if not sweep["artifacts_byte_identical"]:
-        failures.append(
-            "sweep artifacts differ between serial and 4-worker runs"
-        )
-    # The serve bench has no absolute throughput floor (it is recorded
-    # and guarded as a non-regression by check_regression.py), but its
-    # correctness properties are hard gates.
     if serve["reports_dropped"] != 0:
         failures.append(
             f"serve loadgen dropped {serve['reports_dropped']} report(s)"
-        )
-    if not serve["wal_replay_byte_identical"]:
-        failures.append(
-            "serve WAL replay does not reproduce the live coordinator state"
         )
     if serve["speedup_batched_vs_unbatched"] < 3.0:
         failures.append(
@@ -787,57 +729,34 @@ def main():
             f"{serve['speedup_batched_vs_unbatched']:.2f}x < 3x over "
             "the unbatched json path"
         )
-    # Cluster correctness is unconditional; the scaling gate (like the
-    # sweep's) needs real parallel hardware: gateway + 3 shards +
-    # supervisor + 4 loadgen workers only scale where ~8 cores exist.
-    if cluster["reports_dropped"] != 0:
-        failures.append(
-            f"cluster loadgen dropped {cluster['reports_dropped']} "
-            f"report(s)"
-        )
-    if not cluster["replay_byte_identical"]:
-        failures.append(
-            "aggregated cluster replay does not reproduce the gateway's "
-            "live registry"
-        )
-    if cluster["speedup_3shard_vs_1shard"] is None:
-        print("note: cluster scaling gate skipped — "
-              + cluster["speedup_3shard_vs_1shard_reason"])
-    elif cluster["speedup_3shard_vs_1shard"] < 2.5:
-        failures.append(
-            "cluster 3-shard speedup "
-            f"{cluster['speedup_3shard_vs_1shard']:.2f}x < 2.5x "
-            f"on {cluster['cpu_count']} CPUs"
-        )
-    # Store correctness is unconditional: the rollup tables must answer
-    # the replay question byte-identically to a full refold.  The
-    # latency gate is conservative (the measured gap is orders of
-    # magnitude) so I/O-noisy CI machines never flap on it.
-    if not store["snapshot_byte_identical"]:
-        failures.append(
-            "store rollup snapshot differs from the JSONL refold"
-        )
+    # The measured gap is orders of magnitude, so this conservative
+    # floor never flaps on an I/O-noisy machine.
     if store["speedup_query_vs_refold"] < 2.0:
         failures.append(
             "store rollup query only "
             f"{store['speedup_query_vs_refold']:.1f}x faster than the "
             "JSONL refold (< 2x)"
         )
-    if sweep["cells_ok"] < sweep["cells"]:
-        failures.append(
-            f"sweep completed only {sweep['cells_ok']}/{sweep['cells']} cells"
-        )
-    # The parallel-speedup gate needs parallel hardware: enforce >= 2x
-    # only where 4 workers can actually run concurrently.
-    if sweep["speedup_4workers_vs_serial"] is None:
-        print("note: sweep speedup gate skipped — "
-              + sweep["speedup_4workers_vs_serial_reason"])
-    elif sweep["speedup_4workers_vs_serial"] < 2.0:
-        failures.append(
-            "sweep 4-worker speedup "
-            f"{sweep['speedup_4workers_vs_serial']:.2f}x < 2x "
-            f"on {sweep['cpu_count']} CPUs"
-        )
+    if sweep["speedup_4workers_vs_serial"] is not None:
+        if sweep["cells_ok"] < sweep["cells"]:
+            failures.append(f"sweep completed only {sweep['cells_ok']}/"
+                            f"{sweep['cells']} cells")
+        if sweep["speedup_4workers_vs_serial"] < 2.0:
+            failures.append(
+                "sweep 4-worker speedup "
+                f"{sweep['speedup_4workers_vs_serial']:.2f}x < 2x "
+                f"on {sweep['cpu_count']} CPUs"
+            )
+    if cluster["speedup_3shard_vs_1shard"] is not None:
+        if cluster["reports_dropped"] != 0:
+            failures.append(f"cluster loadgen dropped "
+                            f"{cluster['reports_dropped']} report(s)")
+        if cluster["speedup_3shard_vs_1shard"] < 2.5:
+            failures.append(
+                "cluster 3-shard speedup "
+                f"{cluster['speedup_3shard_vs_1shard']:.2f}x < 2.5x "
+                f"on {cluster['cpu_count']} CPUs"
+            )
     if failures:
         for f in failures:
             print(f"FAIL: {f}")
@@ -845,17 +764,16 @@ def main():
     print(
         f"OK: link_state_batch {link['speedup_batch_vs_scalar']:.1f}x, "
         f"udp_train_batch {udp['speedup_batch_vs_reference']:.1f}x, "
-        f"sweep 4w {_ratio_text(sweep, 'speedup_4workers_vs_serial')} "
-        f"on {sweep['cpu_count']} CPU(s), "
-        f"serve {serve['reports_per_s']:.0f} reports/s unbatched json, "
-        f"{serve['reports_per_s_batched']:.0f} reports/s batched binary "
-        f"({serve['speedup_batched_vs_unbatched']:.1f}x, "
-        f"p99 ACK {serve['ack_p99_ms']:.1f} ms), "
-        f"cluster {cluster['reports_per_s']:.0f} reports/s over 3 shards "
-        f"({_ratio_text(cluster, 'speedup_3shard_vs_1shard')} vs 1 shard), "
-        f"store {store['ingest_samples_per_s']:.0f} samples/s ingest "
-        f"(rollup query {store['speedup_query_vs_refold']:.0f}x faster "
-        f"than refold)"
+        f"serve batched {serve['speedup_batched_vs_unbatched']:.1f}x "
+        f"unbatched, store rollup query "
+        f"{store['speedup_query_vs_refold']:.0f}x refold, "
+        f"sweep 4w {_ratio_text(sweep, 'speedup_4workers_vs_serial')}, "
+        f"cluster 3 shards "
+        f"{_ratio_text(cluster, 'speedup_3shard_vs_1shard')} vs 1; "
+        + ", ".join(
+            f"{name} {e['wall.throughput_per_s']:.0f}/s"
+            for name, e in bench.items()
+        )
     )
     return 0
 

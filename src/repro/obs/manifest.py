@@ -4,8 +4,10 @@ A :class:`RunManifest` answers "what exactly produced these numbers?":
 the seeds, a stable hash of the effective configuration, interpreter and
 dependency versions, host platform, and the zone-grid geometry.  It is
 written as ``manifest.json`` alongside ``metrics.json``/``events.jsonl``
-by ``repro monitor --telemetry`` and embedded in every
-``BENCH_history.jsonl`` entry by ``benchmarks/run_perf.py``.
+by ``repro monitor --telemetry`` and embedded in ``BENCH_perf.json`` and
+every ``BENCH_history.jsonl`` entry by ``benchmarks/run_perf.py``, whose
+speedup gates it identifies (the serve and store rates beside them carry
+the host shape ``python -m bench run`` recorded).
 
 The manifest deliberately records **no wall-clock timestamp**: identical
 seeded runs must produce byte-identical artifacts (the determinism tests

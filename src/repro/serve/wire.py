@@ -621,10 +621,16 @@ def report_from_wire(data: Dict[str, Any]) -> MeasurementReport:
 
     A number too large for a double (a 400-digit integer is valid JSON)
     is malformed too, not an ``OverflowError`` that ends the session.
+    So is a ``task_id`` outside int64: the store keeps it in an SQLite
+    INTEGER, so such a report could be ACKed and logged but never
+    imported.
     """
     try:
+        task_id = int(data["task_id"])
+        if not _INT64_MIN <= task_id <= _INT64_MAX:
+            raise ValueError(f"task_id {task_id} is outside int64")
         return MeasurementReport(
-            task_id=int(data["task_id"]),
+            task_id=task_id,
             client_id=str(data["client_id"]),
             network=NetworkId(data["network"]),
             kind=MeasurementType(data["kind"]),

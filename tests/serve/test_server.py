@@ -216,6 +216,34 @@ class TestProtocolEdges:
 
         serve_scenario(scenario)
 
+    def test_task_id_outside_int64_is_typed_error(self):
+        """The store cannot hold such a report, so it is never ACKed."""
+        async def scenario(server):
+            for n, task_id in enumerate((10 ** 30, -2 ** 63 - 1)):
+                reader, writer = await handshake(server, f"c-{n}")
+                payload = dict(synthetic_report(0, 0), task_id=task_id)
+                await send(writer, {"type": "REPORT", "report": payload})
+                error = await read_frame(reader)
+                assert error["type"] == "ERROR"
+                assert error["code"] == "bad-frame"
+                assert "outside int64" in error["detail"]
+                assert await read_frame(reader) is None
+                writer.close()
+            reader, writer = await handshake(server, "c-bounds")
+            for seq, task_id in enumerate((2 ** 63 - 1, -2 ** 63)):
+                payload = dict(synthetic_report(0, seq), task_id=task_id)
+                await send(writer, {"type": "REPORT", "report": payload})
+                ack = await read_frame(reader)
+                assert ack["type"] == "ACK" and ack["accepted"] is True
+                assert ack["task_id"] == task_id
+            writer.close()
+            assert server.metrics.counter(
+                "serve.protocol_errors").value == 2
+            assert server.metrics.counter(
+                "serve.reports_received").value == 2
+
+        serve_scenario(scenario)
+
     def test_idle_timeout(self):
         async def scenario(server):
             reader, writer = await handshake(server)

@@ -232,6 +232,18 @@ class TestReportCodec:
         with pytest.raises(ProtocolError, match="malformed REPORT"):
             report_from_wire(wire)
 
+    @pytest.mark.parametrize("task_id", [10 ** 30, -2 ** 63 - 1])
+    def test_task_id_outside_int64_is_protocol_error(self, task_id):
+        # The store keeps task_id in an SQLite INTEGER (int64).
+        wire = report_to_wire(self.make_report(task_id=task_id))
+        with pytest.raises(ProtocolError, match="malformed REPORT"):
+            report_from_wire(wire)
+
+    @pytest.mark.parametrize("task_id", [2 ** 63 - 1, -2 ** 63])
+    def test_task_id_at_the_int64_bounds_is_accepted(self, task_id):
+        wire = report_to_wire(self.make_report(task_id=task_id))
+        assert report_from_wire(wire).task_id == task_id
+
     def test_integer_too_large_in_a_task_is_protocol_error(self):
         wire = task_to_wire(MeasurementTask(
             task_id=1, network=NetworkId.NET_A, kind=MeasurementType.PING,

@@ -4,13 +4,22 @@ Every deterministic artifact — per-cell ``cell.json``/``metrics.json``/
 ``events.jsonl`` and the reduced ``summary.jsonl``/``metrics.json`` —
 must be byte-identical whether the grid ran inline, on 2 workers, or on
 4, because all randomness is spawn-keyed off content-derived cell ids.
+Two grids are checked: the smoke preset, and a small scheduler
+ablation, whose cells build a landscape that the runner prewarms before
+it starts its workers.
 """
 
 import os
 
 import pytest
 
-from repro.sweep import CELLS_DIRNAME, SweepRunner, load_summary, preset_grid
+from repro.sweep import (
+    CELLS_DIRNAME,
+    SweepGrid,
+    SweepRunner,
+    load_summary,
+    preset_grid,
+)
 
 #: The artifacts the determinism guarantee covers (spans.json and
 #: sweep_status.json hold host timings and are deliberately excluded).
@@ -23,49 +32,70 @@ def _read(path):
         return fh.read()
 
 
+#: Each grid checked, with the worker counts it runs at.
+GRIDS = {
+    "smoke": (lambda: preset_grid("smoke"), (1, 2, 4)),
+    "scheduler": (lambda: SweepGrid(
+        "determinism-scheduler", ["ablation_scheduler"], seeds=[7, 8],
+        matrix={"policy": ["budgeted", "greedy"]},
+        base={"hours": 1.0, "n_buses": 1},
+    ), (1, 2)),
+}
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """The smoke preset executed at 1, 2, and 4 workers."""
+    """Each grid executed at each of its worker counts."""
     base = tmp_path_factory.mktemp("sweep-determinism")
     dirs = {}
-    for workers in (1, 2, 4):
-        out = str(base / f"w{workers}")
-        result = SweepRunner(preset_grid("smoke"), out,
-                             workers=workers).run()
-        assert result.success
-        dirs[workers] = out
+    for name, (grid, worker_counts) in GRIDS.items():
+        for workers in worker_counts:
+            out = str(base / f"{name}-w{workers}")
+            result = SweepRunner(grid(), out, workers=workers).run()
+            assert result.success, name
+            dirs[name, workers] = out
     return dirs
+
+
+def _pairs(runs, workers):
+    """``(grid, serial dir, dir at workers)`` for each grid run there."""
+    return [(name, runs[name, 1], runs[name, workers])
+            for name, (_, counts) in GRIDS.items() if workers in counts]
 
 
 class TestWorkerCountInvariance:
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("filename", DETERMINISTIC_SWEEP_FILES)
     def test_merged_artifacts_byte_identical(self, runs, workers, filename):
-        assert _read(os.path.join(runs[1], filename)) == \
-            _read(os.path.join(runs[workers], filename))
+        for name, serial, pooled in _pairs(runs, workers):
+            assert _read(os.path.join(serial, filename)) == \
+                _read(os.path.join(pooled, filename)), name
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_cell_artifacts_byte_identical(self, runs, workers):
-        serial_cells = os.path.join(runs[1], CELLS_DIRNAME)
-        for cell_id in sorted(os.listdir(serial_cells)):
-            for filename in DETERMINISTIC_CELL_FILES:
-                a = os.path.join(serial_cells, cell_id, filename)
-                b = os.path.join(runs[workers], CELLS_DIRNAME, cell_id,
-                                 filename)
-                assert _read(a) == _read(b), f"{cell_id}/{filename}"
+        for name, serial, pooled in _pairs(runs, workers):
+            serial_cells = os.path.join(serial, CELLS_DIRNAME)
+            for cell_id in sorted(os.listdir(serial_cells)):
+                for filename in DETERMINISTIC_CELL_FILES:
+                    a = os.path.join(serial_cells, cell_id, filename)
+                    b = os.path.join(pooled, CELLS_DIRNAME, cell_id,
+                                     filename)
+                    assert _read(a) == _read(b), \
+                        f"{name}: {cell_id}/{filename}"
 
     def test_rerun_reproduces_bytes(self, runs, tmp_path):
         out = str(tmp_path / "again")
         assert SweepRunner(preset_grid("smoke"), out, workers=2).run().success
         for filename in DETERMINISTIC_SWEEP_FILES:
             assert _read(os.path.join(out, filename)) == \
-                _read(os.path.join(runs[1], filename))
+                _read(os.path.join(runs["smoke", 1], filename))
 
     def test_metrics_have_no_wallclock(self, runs):
         """Spot-check: nothing time-of-day-ish leaks into summary lines."""
-        for record in load_summary(runs[1]):
-            assert "wall" not in str(sorted(record)).lower()
-            assert "duration" not in str(sorted(record)).lower()
+        for name in GRIDS:
+            for record in load_summary(runs[name, 1]):
+                assert "wall" not in str(sorted(record)).lower()
+                assert "duration" not in str(sorted(record)).lower()
 
 
 class TestStoreTargetDeterminism:

@@ -1,4 +1,5 @@
-"""Tests for the perf-regression guard (benchmarks/check_regression.py)."""
+"""Tests for the perf-regression guard (benchmarks/check_regression.py)
+and the records ``benchmarks/run_perf.py`` hands it."""
 
 import json
 
@@ -8,11 +9,21 @@ from benchmarks.check_regression import (
     load_history,
     main,
 )
+from benchmarks import run_perf
 from benchmarks.run_perf import (
+    BENCH_WORKLOADS,
     CLUSTER_MIN_CPUS,
     SWEEP_MIN_CPUS,
-    core_bound_ratio,
+    bench_of_record,
+    core_bound,
 )
+
+#: The guarded name of ingest-single's throughput (a bench median).
+SERVE_RATE = "bench.ingest-single.wall.throughput_per_s"
+
+
+def _bench(workload, **wall):
+    return {"bench": {workload: {f"wall.{k}": v for k, v in wall.items()}}}
 
 
 def _entry(link=30.0, udp=15.0, serve=None):
@@ -21,7 +32,7 @@ def _entry(link=30.0, udp=15.0, serve=None):
         "udp_train": {"speedup_batch_vs_reference": udp},
     }
     if serve is not None:
-        entry["serve"] = {"reports_per_s": serve}
+        entry.update(_bench("ingest-single", throughput_per_s=serve))
     return entry
 
 
@@ -85,26 +96,25 @@ class TestCheck:
         history = [_entry(serve=5000.0) for _ in range(5)]
         warnings, failures = check(_entry(serve=2500.0), history)  # -50%
         assert len(warnings) == 1
-        assert "serve.reports_per_s" in warnings[0]
+        assert SERVE_RATE in warnings[0]
         assert failures == []
         warnings, failures = check(_entry(serve=2000.0), history)  # -60%
         assert len(failures) == 1
-        assert "serve.reports_per_s" in failures[0]
+        assert SERVE_RATE in failures[0]
 
     def test_serve_latency_guard_is_direction_aware(self):
-        """ack_p95_ms regresses by *rising*; a doubling is the wallclock
-        fail bound, and a big improvement (drop) never trips it."""
-        def entry(p95):
-            e = _entry()
-            e["serve"] = {"ack_p95_ms": p95}
-            return e
+        """ingest-single's ACK latency regresses by *rising*; a doubling
+        is the wallclock fail bound, and a big improvement (drop) never
+        trips it."""
+        def entry(p50):
+            return {**_entry(), **_bench("ingest-single", latency_p50_ms=p50)}
 
         history = [entry(10.0) for _ in range(5)]
         warnings, failures = check(entry(14.0), history)  # +40% rise
         assert len(warnings) == 1 and failures == []
         warnings, failures = check(entry(25.0), history)  # +150% rise
         assert len(failures) == 1
-        assert "serve.ack_p95_ms" in failures[0]
+        assert "bench.ingest-single.wall.latency_p50_ms" in failures[0]
         warnings, failures = check(entry(4.0), history)  # big win
         assert warnings == [] and failures == []
 
@@ -135,8 +145,16 @@ class TestNotMeasured:
     """Core-bound ratios a small host cannot produce are null + reason."""
 
     def test_ratio_below_cpu_floor_is_null_with_reason(self):
-        assert core_bound_ratio("speedup", 1.4, 4, 4) == {"speedup": 1.4}
-        assert core_bound_ratio("speedup", 0.56, 1, 8) == {
+        assert core_bound(4, 4, lambda: {"speedup": 1.4}, "speedup") == {
+            "cpu_count": 4, "speedup": 1.4}
+
+        def must_not_run():
+            raise AssertionError("started below its CPU floor")
+
+        assert core_bound(1, 8, must_not_run, "rate", "speedup") == {
+            "cpu_count": 1,
+            "rate": None,
+            "rate_reason": "not measured: cpu_count=1",
             "speedup": None,
             "speedup_reason": "not measured: cpu_count=1",
         }
@@ -144,16 +162,19 @@ class TestNotMeasured:
     def test_guard_accepts_null_fresh_and_history(self, tmp_path):
         def entry(ratio, cpu_count):
             e = _entry(serve=5000.0)
-            e["cluster"] = {"reports_per_s": 7000.0, **core_bound_ratio(
-                "speedup_3shard_vs_1shard", ratio, cpu_count,
-                CLUSTER_MIN_CPUS)}
+            e["cluster"] = core_bound(
+                cpu_count, CLUSTER_MIN_CPUS,
+                lambda: {"reports_per_s": 7000.0,
+                         "speedup_3shard_vs_1shard": ratio},
+                "reports_per_s", "speedup_3shard_vs_1shard")
             # A tracked key recorded as null is skipped like a missing one.
-            e["serve"]["speedup_batched_vs_unbatched"] = None
+            e["serve"] = {"speedup_batched_vs_unbatched": None}
             return e
 
         history = [entry(0.56, 1), entry(2.8, 8), entry(None, 1)]
         fresh = entry(0.56, 1)
         assert fresh["cluster"]["speedup_3shard_vs_1shard"] is None
+        assert fresh["cluster"]["reports_per_s"] is None
         assert check(fresh, history) == ([], [])
         perf = tmp_path / "BENCH_perf.json"
         perf.write_text(json.dumps(fresh))
@@ -163,15 +184,72 @@ class TestNotMeasured:
 
     def test_committed_record_has_no_ratio_below_its_cpu_floor(self):
         perf = json.loads(PERF_PATH.read_text())
-        for section, key, floor in (
-            ("sweep", "speedup_4workers_vs_serial", SWEEP_MIN_CPUS),
-            ("cluster", "speedup_3shard_vs_1shard", CLUSTER_MIN_CPUS),
+        for section, keys, floor in (
+            ("sweep", ("speedup_4workers_vs_serial",), SWEEP_MIN_CPUS),
+            ("cluster", ("speedup_3shard_vs_1shard", "reports_per_s"),
+             CLUSTER_MIN_CPUS),
         ):
             entry = perf[section]
             if entry["cpu_count"] < floor:
-                assert entry[key] is None, section
-                assert entry[f"{key}_reason"] == (
-                    f"not measured: cpu_count={entry['cpu_count']}")
+                for key in keys:
+                    assert entry[key] is None, section
+                    assert entry[f"{key}_reason"] == (
+                        f"not measured: cpu_count={entry['cpu_count']}")
+
+
+def _child_result(workload, correct=True):
+    return {
+        "workload": workload, "correct": correct,
+        "errors": [] if correct else ["3 of 9 operations failed"],
+        "metrics": {"setup_s": 0.2, "peak_rss_mb": 40.0,
+                    "wall.throughput_per_s": 1000.0,
+                    "wall.latency_p50_ms": 2.5},
+        "host": {"cpu_count": 2, "seed": 1},
+    }
+
+
+class TestBenchOfRecord:
+    """Serve and store rates come from ``bench.run.run_child``."""
+
+    def test_entries_hold_wall_medians_and_host(self, monkeypatch):
+        calls = []
+
+        def fake(workload, seed, seconds, trace):
+            calls.append((workload, trace))
+            return _child_result(workload)
+
+        monkeypatch.setattr(run_perf, "run_child", fake)
+        entries, failures = bench_of_record()
+        assert failures == []
+        assert calls == [(w, False) for w in BENCH_WORKLOADS]
+        assert entries["store-live"] == {
+            "correct": True, "wall.throughput_per_s": 1000.0,
+            "wall.latency_p50_ms": 2.5,
+            "host": {"cpu_count": 2, "seed": 1},
+        }
+
+    def test_missing_or_incorrect_result_fails(self, monkeypatch):
+        results = {"ingest-single": None,
+                   "ingest-batch": _child_result("ingest-batch", False),
+                   "store-live": _child_result("store-live")}
+        monkeypatch.setattr(run_perf, "run_child",
+                            lambda w, *args, **kw: results[w])
+        entries, failures = bench_of_record()
+        assert entries["ingest-single"] is None
+        assert entries["ingest-batch"]["correct"] is False
+        assert len(failures) == 2
+        assert "ingest-single gave no result" in failures[0]
+        assert "3 of 9 operations failed" in failures[1]
+
+    def test_guard_reads_the_bench_entries(self):
+        def entry(rate):
+            return {**_entry(), **_bench("store-live", throughput_per_s=rate)}
+
+        history = [entry(50_000.0) for _ in range(5)]
+        warnings, failures = check(entry(20_000.0), history)  # -60%
+        assert failures == [
+            "bench.store-live.wall.throughput_per_s: 20000.0 vs baseline "
+            "50000.0 (median of 5 run(s), +60% drop)"]
 
 
 class TestHistoryLoading:
