@@ -5,22 +5,22 @@ real: the agent still owns the device model, mobility, and radio
 channels, but instead of the coordinator calling ``agent.execute()``
 in-process, the driver speaks the :mod:`repro.serve.wire` protocol —
 HELLO in, POLL with the client's position, execute whatever TASK comes
-back, push the REPORT, and retry on RETRY until the server ACKs.
+back, push the report, and retry on RETRY until the server ACKs.
 
 The driver is strictly half-duplex by construction (one outstanding
-request per session), so the next frame after a REPORT is always its
-ACK or RETRY and the next frame after a POLL is always a TASK or PONG —
-no client-side demultiplexing is needed.  A REPORT_BATCH is the one
+request per session), so the next frame after a POLL is always a TASK
+or PONG and no client-side demultiplexing is needed.  Every report send
+goes through :meth:`ServeSession.send_report_batch`, which frames one
+report as REPORT and more as one REPORT_BATCH.  A batch is the one
 place two frames can answer one request — a RETRY for the rejected
-tail may precede the range ACK_BATCH for the admitted prefix — so
-:meth:`ServeSession.send_report_batch` tracks the outstanding seq set
-and keeps reading until every report in the batch is settled.
+tail may precede the range ACK_BATCH for the admitted prefix — so the
+send keeps reading until every report it carries is settled.
 
 Batching and codec are both opt-in: ``ServeSession(codecs=...)``
 offers a codec preference list in HELLO and adopts whatever WELCOME
 names; ``ServedClient(batch_size=N)`` coalesces up to N reports per
-frame.  The defaults (no codecs key, batch size 1) speak the PR-5 wire
-format byte-for-byte.
+send.  The defaults (no codecs key, batch size 1) speak the original
+JSON one-REPORT-one-ACK exchange byte-for-byte.
 """
 
 from __future__ import annotations
@@ -50,16 +50,15 @@ __all__ = ["DriverStats", "Redirected", "ServedClient", "ServeSession"]
 class Redirected(WireError):
     """The server answered REDIRECT: frame NOT processed, resend to shard X.
 
-    Raised by :meth:`ServeSession.send_report` (a single report carries
-    no partial-settlement risk, so an exception is the cleanest
-    signal).  ``frame`` is the REDIRECT message — ``shard_id`` /
-    ``host`` / ``port`` name the owner and ``shard_map`` carries the
-    server's current map so the caller can re-route without another
-    round trip.  Batch sends never raise this: see
-    :meth:`ServeSession.send_report_batch`, whose summary returns the
-    redirected payloads instead (a REDIRECT can arrive after part of
-    the original batch was already range-ACKed on a resend round, and
-    an exception would lose that accounting).
+    Raised by :meth:`ServeSession.send_report` and by
+    :class:`ServedClient`, neither of which re-routes.  ``frame`` is the
+    REDIRECT message — ``shard_id`` / ``host`` / ``port`` name the owner
+    and ``shard_map`` carries the server's current map so the caller can
+    re-route without another round trip.
+    :meth:`ServeSession.send_report_batch` never raises this: its
+    summary returns the redirected payloads instead (a REDIRECT can
+    arrive after part of the batch was already ACKed on a resend round,
+    and an exception would lose that accounting).
     """
 
     code = "redirected"
@@ -176,113 +175,93 @@ class ServeSession:
         report_wire: Dict[str, Any],
         max_retries: int = 64,
     ) -> Dict[str, Any]:
-        """Push one report, retrying on RETRY until it is ACKed.
+        """Push one report (a REPORT frame) until it is ACKed.
 
-        Returns the ACK frame.  Raises :class:`WireError` when the
-        server errors the session or the retry budget runs out — a
-        report is never silently dropped.
+        Returns the :meth:`send_report_batch` summary, so ``accepted``
+        is 1 or 0.  Raises :class:`Redirected` when the server answered
+        REDIRECT, and :class:`WireError` as :meth:`send_report_batch`
+        does.
         """
-        frame = {"type": "REPORT", "report": report_wire}
-        retries = 0
-        while True:
-            reply = await self.request(frame)
-            kind = reply.get("type")
-            if kind == "ACK":
-                reply["_retries"] = retries
-                return reply
-            if kind == "RETRY":
-                if retries >= max_retries:
-                    raise WireError(
-                        f"report not accepted after {retries} retries"
-                    )
-                retries += 1
-                await asyncio.sleep(float(reply.get("retry_after_s", 0.05)))
-                continue
-            if kind == "REDIRECT":
-                raise Redirected(reply)
-            if kind == "ERROR":
-                raise WireError(
-                    f"server error: {reply.get('code')}: "
-                    f"{reply.get('detail')}"
-                )
-            raise ProtocolError(f"expected ACK/RETRY, got {kind!r}")
+        summary = await self.send_report_batch([report_wire], max_retries)
+        if "redirect" in summary:
+            raise Redirected(summary["redirect"])
+        return summary
 
     async def send_report_batch(
         self,
         reports_wire: Sequence[Dict[str, Any]],
         max_retries: int = 64,
     ) -> Dict[str, Any]:
-        """Push many reports in one frame, resending until all settle.
+        """Push reports in one frame, resending until all settle.
 
-        Sends one REPORT_BATCH and keeps reading until every report in
-        it is covered by an ACK_BATCH (admitted, possibly rejected by
-        the validator), a RETRY (the backpressured tail — resent as a
-        fresh, smaller batch after ``retry_after_s``), or a REDIRECT (a
-        shard that does not own the batch's zones; the whole frame is
-        unprocessed).  Returns a summary dict with ``accepted`` /
-        ``rejected`` report counts and ``_retries``; redirected
-        payloads come back under ``"redirected"`` (with the REDIRECT
-        frame under ``"redirect"``) for the caller to re-route — they
-        are NOT resent here, because this session points at the wrong
-        shard by definition.  Raises :class:`WireError` when the retry
-        budget runs out or the server errors the session.
+        The one place client code frames reports: exactly one report
+        goes out as REPORT, more as one REPORT_BATCH, and the resent
+        RETRY tail follows the same rule.  Each reply settles a slice of
+        the frame — all of a REPORT, ``seq_lo..seq_hi`` of a batch — as
+        admitted (ACK / ACK_BATCH, possibly validator-rejected),
+        backpressured (RETRY: resent after ``retry_after_s``) or
+        redirected (REDIRECT: a shard that does not own the frame's
+        zones; nothing was processed).  Returns a summary dict with
+        ``accepted`` / ``rejected`` report counts, ``_retries`` and
+        ``_batches`` (REPORT_BATCH frames sent); redirected payloads
+        come back under ``"redirected"`` (with the REDIRECT frame under
+        ``"redirect"``) for the caller to re-route — they are NOT resent
+        here, because this session points at the wrong shard by
+        definition.  Raises :class:`WireError` when the retry budget
+        runs out or the server errors the session.
         """
         if not reports_wire:
             raise ValueError("empty report batch")
         pending = list(reports_wire)
-        retries = 0
-        accepted = 0
-        rejected = 0
-        batches = 0
+        retries = accepted = rejected = batches = 0
         redirected: List[Dict[str, Any]] = []
         redirect_frame: Optional[Dict[str, Any]] = None
         while pending:
-            seq_lo = self._batch_seq
-            self._batch_seq += len(pending)
-            await self._send_frame({
-                "type": "REPORT_BATCH",
-                "seq_lo": seq_lo,
-                "reports": pending,
-            })
-            batches += 1
-            #: Seqs of this batch not yet settled by ACK_BATCH/RETRY.
-            outstanding = set(range(seq_lo, seq_lo + len(pending)))
+            if len(pending) == 1:
+                seq_lo = None
+                frame = {"type": "REPORT", "report": pending[0]}
+            else:
+                seq_lo = self._batch_seq
+                self._batch_seq += len(pending)
+                batches += 1
+                frame = {"type": "REPORT_BATCH", "seq_lo": seq_lo,
+                         "reports": pending}
+            await self._send_frame(frame)
+            #: Indices into ``pending`` not yet settled by a reply.
+            outstanding = set(range(len(pending)))
             resend: List[Dict[str, Any]] = []
             retry_after_s = 0.05
             while outstanding:
                 reply = await self._read_reply()
                 kind = reply.get("type")
-                if kind == "ACK_BATCH":
-                    lo, hi = int(reply["seq_lo"]), int(reply["seq_hi"])
-                    outstanding.difference_update(range(lo, hi + 1))
-                    n_rejected = len(reply.get("rejected_seqs") or ())
-                    accepted += (hi - lo + 1) - n_rejected
-                    rejected += n_rejected
-                elif kind == "RETRY":
-                    lo, hi = int(reply["seq_lo"]), int(reply["seq_hi"])
-                    outstanding.difference_update(range(lo, hi + 1))
-                    resend.extend(pending[lo - seq_lo:hi - seq_lo + 1])
-                    retry_after_s = float(
-                        reply.get("retry_after_s", retry_after_s)
-                    )
-                elif kind == "REDIRECT":
-                    #: The whole frame was refused unprocessed; hand the
-                    #: payloads back to the caller for re-routing.
-                    lo, hi = int(reply["seq_lo"]), int(reply["seq_hi"])
-                    outstanding.difference_update(range(lo, hi + 1))
-                    redirected.extend(
-                        pending[lo - seq_lo:hi - seq_lo + 1]
-                    )
-                    redirect_frame = reply
-                elif kind == "ERROR":
+                if kind == "ERROR":
                     raise WireError(
                         f"server error: {reply.get('code')}: "
                         f"{reply.get('detail')}"
                     )
-                else:
+                if kind not in ("ACK", "ACK_BATCH", "RETRY", "REDIRECT"):
                     raise ProtocolError(
-                        f"expected ACK_BATCH/RETRY, got {kind!r}"
+                        f"expected ACK/ACK_BATCH/RETRY/REDIRECT, got {kind!r}"
                     )
+                if seq_lo is None:
+                    lo, hi = 0, 1
+                else:
+                    lo = int(reply["seq_lo"]) - seq_lo
+                    hi = int(reply["seq_hi"]) - seq_lo + 1
+                outstanding.difference_update(range(lo, hi))
+                if kind == "RETRY":
+                    resend.extend(pending[lo:hi])
+                    retry_after_s = float(
+                        reply.get("retry_after_s", retry_after_s)
+                    )
+                elif kind == "REDIRECT":
+                    redirected.extend(pending[lo:hi])
+                    redirect_frame = reply
+                else:
+                    #: ACK's ``accepted`` is a bool, ACK_BATCH's a count.
+                    n_accepted = int(reply.get("accepted", 0))
+                    accepted += n_accepted
+                    rejected += (hi - lo) - n_accepted
             if resend:
                 if retries >= max_retries:
                     raise WireError(
@@ -338,11 +317,13 @@ class ServedClient:
     for type checking only and a wire-client process never loads the
     simulator.
 
-    ``batch_size`` > 1 turns on report coalescing: completed reports
-    accumulate in a client-side buffer and go out as one REPORT_BATCH
-    frame when the buffer fills (and at session end, so nothing is ever
-    left behind).  ``codecs`` is the HELLO codec preference list
-    (``None`` — the default — negotiates nothing and speaks PR-5 JSON).
+    Completed reports accumulate in a client-side buffer and go out in
+    one send when it holds ``batch_size`` (and at session end, so
+    nothing is ever left behind): at the default of 1 that is one
+    REPORT per report.  ``codecs`` is the HELLO codec preference list
+    (``None`` — the default — negotiates nothing and speaks plain JSON).
+    A REDIRECT raises :class:`Redirected`: this client does not
+    re-route.
     """
 
     def __init__(
@@ -382,18 +363,20 @@ class ServedClient:
         return self.stats
 
     async def _flush(self, loop_time) -> None:
-        """Send the coalescing buffer as one batch (no-op when empty)."""
+        """Send the coalescing buffer in one send (no-op when empty)."""
         if not self._buffer:
             return
         batch, self._buffer = self._buffer, []
         sent_at = loop_time()
-        ack = await self.session.send_report_batch(batch)
+        summary = await self.session.send_report_batch(batch)
         latency = loop_time() - sent_at
         self.stats.ack_latencies_s.extend([latency] * len(batch))
-        self.stats.batches_sent += int(ack.get("_batches", 1))
-        self.stats.retries += int(ack.get("_retries", 0))
-        self.stats.reports_acked += int(ack.get("accepted", 0))
-        self.stats.reports_rejected += int(ack.get("rejected", 0))
+        self.stats.batches_sent += summary["_batches"]
+        self.stats.retries += summary["_retries"]
+        self.stats.reports_acked += summary["accepted"]
+        self.stats.reports_rejected += summary["rejected"]
+        if "redirect" in summary:
+            raise Redirected(summary["redirect"])
 
     async def _poll_once(self, t: float, loop_time) -> None:
         point = self.agent.position(t)
@@ -421,16 +404,6 @@ class ServedClient:
             self.stats.tasks_refused += 1
             return
         self.stats.reports_sent += 1
-        if self.batch_size > 1:
-            self._buffer.append(report_to_wire(report))
-            if len(self._buffer) >= self.batch_size:
-                await self._flush(loop_time)
-            return
-        sent_at = loop_time()
-        ack = await self.session.send_report(report_to_wire(report))
-        self.stats.ack_latencies_s.append(loop_time() - sent_at)
-        self.stats.retries += int(ack.get("_retries", 0))
-        if ack.get("accepted"):
-            self.stats.reports_acked += 1
-        else:
-            self.stats.reports_rejected += 1
+        self._buffer.append(report_to_wire(report))
+        if len(self._buffer) >= self.batch_size:
+            await self._flush(loop_time)

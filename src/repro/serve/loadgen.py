@@ -62,8 +62,7 @@ class LoadgenConfig:
     #: Session codec to negotiate ("json" or "binary").  "json" offers
     #: nothing in HELLO — the PR-5 handshake, byte-for-byte.
     codec: str = "json"
-    #: Reports coalesced per REPORT_BATCH frame; 1 keeps the PR-5
-    #: one-REPORT-one-ACK wire exchange.
+    #: Reports per send: one goes out as REPORT, more as REPORT_BATCH.
     batch_size: int = 1
     #: Cluster mode: ``host``/``port`` point at the *gateway*; clients
     #: fetch the shard map from its WELCOME, open sessions to the
@@ -201,17 +200,6 @@ class _Router:
             self.map = None
 
 
-async def _send(session: ServeSession, group: List[Dict[str, Any]],
-                one_report_frames: bool) -> Dict[str, Any]:
-    """Send one group; the ``send_report_batch`` summary shape."""
-    if not one_report_frames:
-        return await session.send_report_batch(group)
-    ack = await session.send_report(group[0])
-    accepted = 1 if ack.get("accepted") else 0
-    return {"accepted": accepted, "rejected": 1 - accepted,
-            "_retries": ack.get("_retries", 0)}
-
-
 async def _run_one_client(
     cfg: LoadgenConfig,
     index: int,
@@ -232,8 +220,6 @@ async def _run_one_client(
     loop_time = asyncio.get_running_loop().time
     gindex = cfg.client_offset + index
     batch = max(1, cfg.batch_size)
-    #: Single-node batch size 1 keeps the one-REPORT-one-ACK exchange.
-    one_report_frames = router.endpoint is not None and batch == 1
     session_args = dict(client_id=f"load-{gindex:05d}",
                         networks=[_NETWORKS[gindex % len(_NETWORKS)]],
                         codecs=[cfg.codec] if cfg.codec != "json" else None)
@@ -263,8 +249,7 @@ async def _run_one_client(
                             )
                             await session.open()
                         sent_at = loop_time()
-                        summary = await _send(session, group,
-                                              one_report_frames)
+                        summary = await session.send_report_batch(group)
                     except (WireError, ConnectionError, OSError) as exc:
                         #: Endpoint gone (a killed server or shard): the
                         #: group may or may not be in its WAL.  Resending

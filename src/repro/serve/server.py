@@ -190,7 +190,7 @@ def replay_wal(
     resulting metrics registry is byte-identical to the coordinator the
     crashed server had after its last flushed append.
     """
-    from repro.serve.wal import iter_wal_records
+    from repro.serve.wal import iter_wal_reports
 
     if coordinator is None:
         meta = WriteAheadLog.read_meta(wal_dir) or {}
@@ -199,8 +199,8 @@ def replay_wal(
             gen_seed=int(meta.get("gen_seed", 1)),
             radius_m=float(meta.get("radius_m", 250.0)),
         )
-    for record in iter_wal_records(wal_dir):
-        coordinator.ingest(report_from_wire(record))
+    for report in iter_wal_reports(wal_dir):
+        coordinator.ingest(report)
     return coordinator
 
 

@@ -48,7 +48,12 @@ import os
 import re
 import time
 import zlib
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
+
+if TYPE_CHECKING:
+    from repro.clients.protocol import MeasurementReport
 
 __all__ = [
     "WAL_META_FILENAME",
@@ -56,6 +61,7 @@ __all__ = [
     "WalCorruptionError",
     "WriteAheadLog",
     "iter_wal_records",
+    "iter_wal_reports",
     "read_wal",
     "wal_segments",
 ]
@@ -343,6 +349,25 @@ def iter_wal_records(wal_dir: str) -> Iterator[Dict[str, Any]]:
                 f"{os.path.basename(path)}: torn record in a non-final "
                 "segment"
             )
+
+
+def iter_wal_reports(wal_dir: str) -> Iterator[MeasurementReport]:
+    """Yield every record parsed into a ``MeasurementReport``, in order.
+
+    A record :func:`repro.serve.wire.report_from_wire` refuses (say a
+    ``task_id`` outside int64, logged by older code) raises
+    :class:`WalCorruptionError` naming its WAL seq: no replay or import
+    can get past it, and the CLI prints it as one line.
+    """
+    from repro.serve.wire import ProtocolError, report_from_wire
+
+    for seq, record in enumerate(iter_wal_records(wal_dir)):
+        try:
+            yield report_from_wire(record)
+        except ProtocolError as exc:
+            raise WalCorruptionError(
+                f"record at WAL seq {seq}: {exc}"
+            ) from None
 
 
 def read_wal(wal_dir: str) -> Tuple[List[Dict[str, Any]], Optional[Dict[str, Any]]]:

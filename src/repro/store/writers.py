@@ -264,8 +264,7 @@ def import_wal(
     what the crashed server had computed.
     """
     from repro.geo.regions import madison_study_area
-    from repro.serve.wal import WriteAheadLog, iter_wal_records
-    from repro.serve.wire import report_from_wire
+    from repro.serve.wal import WriteAheadLog, iter_wal_reports
 
     meta = WriteAheadLog.read_meta(wal_dir) or {}
     grid = ZoneGrid(
@@ -278,9 +277,8 @@ def import_wal(
     )
     result = ImportResult(label=label, run_ids=[run_id])
     result._count("runs")
-    reports = (report_from_wire(rec) for rec in iter_wal_records(wal_dir))
     return ingest_reports(
-        conn, run_id, reports, grid,
+        conn, run_id, iter_wal_reports(wal_dir), grid,
         batch_size=batch_size, result=result,
     )
 

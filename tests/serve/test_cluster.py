@@ -16,7 +16,12 @@ import tempfile
 import pytest
 
 from repro.obs.metrics import merge_snapshots
-from repro.serve.cluster import ClusterConfig, LocalCluster
+from repro.serve.cluster import (
+    MANIFEST_NAME,
+    ClusterConfig,
+    LocalCluster,
+    replay_cluster,
+)
 from repro.serve.driver import Redirected, ServeSession
 from repro.serve.gateway import GatewayConfig, GatewayServer
 from repro.serve.loadgen import LoadgenConfig, run_loadgen, synthetic_report
@@ -114,6 +119,30 @@ class TestShardModeRedirect:
 
         shard_scenario(scenario, shard_map=smap)
 
+    def test_one_report_redirect_is_returned_or_raised(self):
+        """A one-report send is a REPORT frame either way; the batch
+        call hands the REDIRECT back, the single call raises it."""
+        smap = two_shard_map()
+        payload = report_at(*position_owned_by(smap, "shard-1"))
+
+        async def scenario(server):
+            async with ServeSession("127.0.0.1", server.port,
+                                    client_id="c-1",
+                                    networks=["NetA"]) as session:
+                summary = await session.send_report_batch([payload])
+                with pytest.raises(Redirected) as exc:
+                    await session.send_report(payload)
+            assert summary["redirected"] == [payload]
+            assert summary["redirect"]["task_id"] == payload["task_id"]
+            assert (summary["accepted"], summary["rejected"]) == (0, 0)
+            assert summary["_batches"] == 0
+            assert exc.value.frame == summary["redirect"]
+            assert server.metrics.counter_value("serve.redirects") == 2
+            assert server.metrics.counter_value("serve.report_batches") == 0
+            assert server.coordinator.stats.reports_ingested == 0
+
+        shard_scenario(scenario, shard_map=smap)
+
     def test_owned_report_is_accepted(self):
         smap = two_shard_map()
         lat, lon = position_owned_by(smap, "shard-0")
@@ -123,7 +152,7 @@ class TestShardModeRedirect:
                                     client_id="c-1",
                                     networks=["NetA"]) as session:
                 ack = await session.send_report(report_at(lat, lon))
-            assert ack["accepted"] is True
+            assert ack["accepted"] == 1
             assert server.coordinator.stats.reports_ingested == 1
 
         shard_scenario(scenario, shard_map=smap)
@@ -179,7 +208,7 @@ class TestShardModeRedirect:
                                     client_id="c-1",
                                     networks=["NetA"]) as session:
                 ack = await session.send_report(report_at(lat, lon))
-            assert ack["accepted"] is True
+            assert ack["accepted"] == 1
 
         shard_scenario(scenario, shard_map=smap, shard_id="")
 
@@ -250,7 +279,7 @@ class TestMapNegotiation:
                                     client_id="c-1",
                                     networks=["NetA"]) as session:
                 ack = await session.send_report(report_at(lat, lon))
-                assert ack["accepted"] is True
+                assert ack["accepted"] == 1
                 reply = await session.request(
                     {"type": "MAP_UPDATE", "shard_map": v2.to_wire()}
                 )
@@ -455,8 +484,14 @@ def shard_pair_scenario(scenario, tmp):
 
 
 class TestLoadgenRouting:
-    def test_follows_redirects_from_a_stale_gateway_map(self, tmp_path):
-        """The gateway names only shard-a; shard-a redirects the rest."""
+    def run_stale_map(self, tmp, batch_size):
+        """Loadgen through a gateway naming only shard-a; shard-a
+        redirects the rest.
+
+        Checks zero drops, and that once the gateway holds the full map
+        its STATS fold equals the offline replay of both shards' WALs.
+        Returns each shard's ``serve.*`` counters.
+        """
 
         async def scenario(servers, smap):
             stale = ShardMap([smap.shard("shard-a")], *ANCHOR)
@@ -465,22 +500,45 @@ class TestLoadgenRouting:
             try:
                 result = await run_loadgen(LoadgenConfig(
                     port=gateway.port, clients=4, reports_per_client=12,
-                    concurrency=4, batch_size=4, cluster=True,
+                    concurrency=4, batch_size=batch_size, cluster=True,
                     reconnect_delay_s=0.01,
                 ))
+                gateway.set_shard_map(smap)
+                async with ServeSession("127.0.0.1", gateway.port,
+                                        client_id="c-stats",
+                                        networks=[]) as session:
+                    stats = await session.stats()
             finally:
                 await gateway.stop()
-            return result, servers["shard-a"].metrics.counter_value(
-                "serve.redirects")
+            counters = {shard_id: server.metrics.snapshot()["counters"]
+                        for shard_id, server in servers.items()}
+            return result, counters, stats
 
-        (result, redirects), wals = shard_pair_scenario(scenario,
-                                                        str(tmp_path))
+        (result, counters, stats), wals = shard_pair_scenario(scenario, tmp)
         assert result.reports_dropped == 0
         assert result.sessions_failed == 0
         assert result.reports_acked == result.reports_sent == 48
-        assert redirects > 0
+        assert counters["shard-a"].get("serve.redirects", 0) > 0
         assert len(wals["shard-a"]) + len(wals["shard-b"]) == 48
         assert wals["shard-b"]
+        with open(os.path.join(tmp, MANIFEST_NAME), "w") as fh:
+            json.dump({"shards": [
+                {"shard_id": shard_id, "wal": os.path.join(tmp, shard_id)}
+                for shard_id in wals
+            ]}, fh)
+        aggregated, _ = replay_cluster(tmp)
+        assert stats["shards_reachable"] == 2
+        assert stats["coordinator"] == aggregated
+        return counters
+
+    def test_follows_redirects_from_a_stale_gateway_map(self, tmp_path):
+        counters = self.run_stale_map(str(tmp_path), batch_size=4)
+        assert any(c.get("serve.report_batches") for c in counters.values())
+
+    def test_one_report_sends_are_report_frames(self, tmp_path):
+        counters = self.run_stale_map(str(tmp_path), batch_size=1)
+        for shard_counters in counters.values():
+            assert shard_counters.get("serve.report_batches", 0) == 0
 
     def test_empty_map_waits_before_every_retry_round(self):
         """Every shard down: each round refetches after the delay."""

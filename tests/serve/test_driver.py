@@ -85,32 +85,70 @@ class TestServeSession:
 
         with_server(scenario, max_sessions=1)
 
-    def test_send_report_retry_budget(self):
-        async def scenario(server):
-            # Park the worker so every report meets a full queue.
-            server._ingest_task.cancel()
-            try:
-                await server._ingest_task
-            except asyncio.CancelledError:
-                pass
-            await server._ingest_queue.put(({}, 0, 0.0))  # fill depth 1
-            from repro.serve.loadgen import synthetic_report
+    def check_retry_budget(self, n_reports):
+        """A send the server never admits fails once the budget is spent.
 
-            async with ServeSession("127.0.0.1", server.port,
-                                    client_id="s-1",
-                                    networks=["NetA"]) as session:
-                with pytest.raises(WireError):
-                    await session.send_report(
-                        synthetic_report(0, 0), max_retries=2
-                    )
-            # Leave a live worker behind so stop() can drain the queue.
-            server._ingest_queue.get_nowait()
-            server._ingest_queue.task_done()
-            server._ingest_task = asyncio.ensure_future(
-                server._ingest_worker()
-            )
+        Holding the ingest budget full makes the server answer every
+        frame with RETRY: the first send plus ``max_retries`` resends,
+        each rejecting all of its reports.
+        """
+        from repro.serve.loadgen import synthetic_report
+
+        reports = [synthetic_report(0, i) for i in range(n_reports)]
+
+        async def scenario(server):
+            server._ingest_pending = server.config.ingest_queue_max
+            try:
+                async with ServeSession("127.0.0.1", server.port,
+                                        client_id="s-1",
+                                        networks=["NetA"]) as session:
+                    with pytest.raises(WireError,
+                                       match="not accepted after 2 retries"):
+                        if n_reports == 1:
+                            await session.send_report(reports[0],
+                                                      max_retries=2)
+                        else:
+                            await session.send_report_batch(reports,
+                                                            max_retries=2)
+            finally:
+                server._ingest_pending = 0
+            assert server.metrics.counter_value(
+                "serve.backpressure_rejections") == 3 * n_reports
+            #: One report goes out as REPORT, more as REPORT_BATCH.
+            assert server.metrics.counter_value(
+                "serve.report_batches") == (3 if n_reports > 1 else 0)
 
         with_server(scenario, ingest_queue_max=1, retry_after_s=0.01)
+
+    def test_send_report_retry_budget(self):
+        self.check_retry_budget(1)
+
+    def test_send_report_batch_retry_budget(self):
+        self.check_retry_budget(3)
+
+    def test_retry_tail_of_one_is_resent_as_a_report(self):
+        """A 3-report batch over a budget of 2: the RETRY tail is one
+        report, which goes back as a REPORT frame and settles."""
+        from repro.serve.loadgen import synthetic_report
+
+        async def scenario(server):
+            async with ServeSession("127.0.0.1", server.port,
+                                    client_id="load-00000",
+                                    networks=["NetA"]) as session:
+                summary = await session.send_report_batch(
+                    [synthetic_report(0, i) for i in range(3)]
+                )
+            assert summary["accepted"] == 3
+            assert summary["rejected"] == 0
+            assert summary["_retries"] >= 1
+            assert summary["_batches"] == 1
+            assert server.metrics.counter_value("serve.report_batches") == 1
+            assert server.metrics.counter_value(
+                "serve.backpressure_rejections") == summary["_retries"]
+            assert server.metrics.counter_value(
+                "serve.reports_ingested") == 3
+
+        with_server(scenario, ingest_queue_max=2, retry_after_s=0.01)
 
 
 class TestServedClient:
@@ -130,6 +168,22 @@ class TestServedClient:
             networks = {t.network for t in agent.executed}
             assert networks == {NetworkId.NET_A, NetworkId.NET_B}
             assert server.metrics.counter("serve.tasks_issued").value == 6
+
+        with_server(scenario)
+
+    def test_batched_client_flushes_full_buffers_then_the_rest(self):
+        async def scenario(server):
+            client = ServedClient(_StubAgent(), "127.0.0.1", server.port,
+                                  batch_size=4)
+            stats = await client.run(n_polls=10)
+            assert stats.reports_sent == 10
+            assert stats.reports_acked == stats.reports_sent
+            assert stats.batches_sent == 3
+            assert len(stats.ack_latencies_s) == 10
+            #: Two full buffers of 4, then the last 2 at session end.
+            sizes = server.metrics.histogram("serve.report_batch_size")
+            assert (sizes.total, sizes.sum) == (3, 10.0)
+            assert (sizes.min, sizes.max) == (2.0, 4.0)
 
         with_server(scenario)
 

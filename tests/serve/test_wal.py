@@ -230,3 +230,37 @@ class TestMeta:
 
     def test_meta_absent(self, tmp_path):
         assert WriteAheadLog.read_meta(str(tmp_path)) is None
+
+
+class TestUnparseableRecord:
+    """A well-formed record the wire parser refuses stops replay loudly."""
+
+    @pytest.fixture
+    def wal_dir(self, tmp_path):
+        from repro.serve.loadgen import synthetic_report
+
+        bad = synthetic_report(0, 1)
+        bad["task_id"] = 10 ** 30  # outside int64
+        wal_dir = str(tmp_path / "wal")
+        with WriteAheadLog(wal_dir) as wal:
+            wal.append_many([synthetic_report(0, 0), bad])
+        return wal_dir
+
+    def test_iter_wal_reports_names_the_wal_seq(self, wal_dir):
+        from repro.serve.wal import iter_wal_reports
+
+        reports = iter_wal_reports(wal_dir)
+        assert next(reports).task_id == 1
+        with pytest.raises(WalCorruptionError,
+                           match=r"WAL seq 1: .*outside int64"):
+            next(reports)
+
+    def test_server_recovery_raises_before_binding(self, wal_dir):
+        import asyncio
+
+        from repro.serve.server import CoordinatorServer, ServeConfig
+
+        server = CoordinatorServer(ServeConfig(), wal_dir=wal_dir)
+        with pytest.raises(WalCorruptionError, match="WAL seq 1"):
+            asyncio.run(server.start())
+        assert server.port == 0

@@ -200,6 +200,37 @@ class TestServeReplayCorruptWal:
         assert out == ""
 
 
+class TestUnparseableWalRecord:
+    """A WAL record the wire parser refuses (a ``task_id`` outside
+    int64, as older code could log) is a one-line error, not a
+    traceback."""
+
+    @pytest.fixture
+    def bad_wal(self, tmp_path):
+        from repro.serve.wal import WriteAheadLog
+        from repro.serve.wire import report_to_wire
+
+        wal_dir = write_wal(tmp_path / "wal", [make_report(0)])
+        bad = report_to_wire(make_report(1))
+        bad["task_id"] = 10 ** 30
+        with WriteAheadLog(wal_dir) as wal:
+            wal.append(bad)
+        return wal_dir
+
+    @pytest.mark.parametrize("command", ["replay", "import"])
+    def test_exits_1_naming_the_record(self, capsys, tmp_path, bad_wal,
+                                       command):
+        db = str(tmp_path / "db.sqlite")
+        argv = (["serve", "replay", "--wal", bad_wal] if command == "replay"
+                else ["store", "import", db, bad_wal])
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert err.startswith("WAL is corrupt: record at WAL seq 1: ")
+        assert "outside int64" in err
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+
+
 class TestObsOnStores:
     def test_obs_report_json_from_store_matches_dir(self, capsys,
                                                     tmp_path, tel_dir):
