@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro._canon import pretty_json
 
 #: One ``add_argument`` call: its positional flags and its keywords.
 Arg = Tuple[Tuple[str, ...], Dict[str, Any]]
@@ -84,7 +85,7 @@ class Group:
 
 def print_json(payload: Any) -> None:
     """Print ``payload`` as a ``--format json`` document."""
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(pretty_json(payload))
 
 
 def open_store(path: str, create: bool = False):

@@ -10,15 +10,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.cli.common import (
-    SEED, CommandError, Group, arg, open_store, print_json)
+from repro.cli.common import CommandError, Group, arg, open_store, print_json
 
 COMMANDS = Group("serve", help="coordinator-as-a-service utilities")
 
 
 @COMMANDS.command(
     "run", "run the coordinator as a TCP service",
-    SEED,
     arg("--host", default="127.0.0.1"),
     arg("--port", type=int, default=0, help="TCP port (0 picks a free one)"),
     arg("--wal", metavar="DIR",
@@ -54,7 +52,7 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
     from repro.serve import CoordinatorServer, ServeConfig
 
     cfg = ServeConfig(
-        host=args.host, port=args.port, seed=args.seed,
+        host=args.host, port=args.port,
         gen_seed=args.gen_seed, radius_m=args.radius,
         max_sessions=args.max_sessions,
         ingest_queue_max=args.ingest_queue_max,

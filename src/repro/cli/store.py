@@ -7,9 +7,9 @@ loads no ``sqlite3``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+from repro._canon import compact_json
 from repro.cli.common import CommandError, Group, arg, open_store, print_json
 
 COMMANDS = Group(
@@ -135,10 +135,10 @@ def cmd_store_query(args: argparse.Namespace) -> int:
         print_json(payload)
     elif isinstance(payload, list):
         for row in payload:
-            print(json.dumps(row, sort_keys=True))
+            print(compact_json(row))
     else:
         for key, value in sorted(payload.items()):
-            print(f"{key}: {json.dumps(value, sort_keys=True)}")
+            print(f"{key}: {compact_json(value)}")
     return 0
 
 

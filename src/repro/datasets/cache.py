@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
+from repro._canon import compact_json
 from repro.datasets.io import read_jsonl, write_jsonl
 from repro.datasets.records import TraceRecord
 
@@ -20,8 +21,8 @@ PathLike = Union[str, Path]
 
 
 def cache_key(name: str, params: Dict) -> str:
-    """Stable filename stem for (name, params)."""
-    blob = json.dumps(params, sort_keys=True, default=str)
+    """Stable filename stem for (name, params); params are JSON values."""
+    blob = compact_json(params)
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
     return f"{name}-{digest}"
 
@@ -52,7 +53,7 @@ def cached_dataset(
     write_jsonl(records, data_path)
     meta_path.write_text(
         json.dumps({"name": name, "params": params, "records": len(records)},
-                   indent=2, default=str)
+                   indent=2)
     )
     return records
 

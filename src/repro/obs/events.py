@@ -16,8 +16,8 @@ Schema (stable, versioned):
 * ``kind`` — dotted event name (``epoch.close``, ``task.issue``, ...);
 * remaining keys — event-specific fields, JSON scalars only.
 
-Serialization uses ``sort_keys`` and a compact separator so the bytes
-of ``events.jsonl`` are a pure function of the recorded tuples.  One
+Serialization is :data:`repro._canon.compact_json`, so the bytes of
+``events.jsonl`` are a pure function of the recorded tuples.  One
 serialiser, :func:`_event_line`, renders every line, whether the log
 keeps its events in memory or streams them to a file as they happen.
 """
@@ -31,6 +31,8 @@ import shutil
 from collections import deque
 from typing import (BinaryIO, Dict, Iterable, Iterator, List, Optional,
                     Tuple, Union)
+
+from repro._canon import compact_json
 
 __all__ = ["SCHEMA_VERSION", "DEFAULT_CAPACITY", "EventLog", "NullEventLog",
            "NULL_EVENT_LOG", "TolerantJsonl", "read_events",
@@ -46,12 +48,10 @@ SCHEMA_VERSION = 1
 #: file retains nothing, so the bound does not apply to it.
 DEFAULT_CAPACITY = 200_000
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
 
 def _event_line(record: dict) -> str:
     """The canonical serialiser: one sorted-key compact line per event."""
-    return _ENCODER.encode(record) + "\n"
+    return compact_json(record) + "\n"
 
 
 class EventLog:

@@ -25,6 +25,8 @@ import platform
 import sys
 from typing import Any, Dict, Optional
 
+from repro._canon import compact_json, pretty_json, write_pretty_json
+
 __all__ = ["config_hash", "RunManifest"]
 
 MANIFEST_VERSION = 1
@@ -47,7 +49,7 @@ def _canonical(obj: Any) -> Any:
 
 def config_hash(config: Any) -> str:
     """Stable sha256 (hex, 16 chars) of a config dataclass/dict."""
-    blob = json.dumps(_canonical(config), sort_keys=True, separators=(",", ":"))
+    blob = compact_json(_canonical(config))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -114,14 +116,13 @@ class RunManifest:
             out["extra"] = self.extra
         return out
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Canonical sorted-key JSON rendering."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return pretty_json(self.to_dict())
 
     def write(self, path) -> None:
         """Write the manifest JSON to ``path``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
+        write_pretty_json(path, self.to_dict())
 
     @staticmethod
     def read(path) -> dict:

@@ -24,9 +24,10 @@ trivial and keep ``observe`` O(log n_buckets) via bisection.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro._canon import pretty_json
 
 __all__ = [
     "Counter",
@@ -341,9 +342,9 @@ class MetricsRegistry:
             },
         }
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON rendering (byte-stable across identical runs)."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+        return pretty_json(self.snapshot())
 
 
 class _NullCounter:
@@ -431,9 +432,9 @@ class NullMetricsRegistry:
         """The empty snapshot shape (same keys as the real registry)."""
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON of the (empty) snapshot."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+        return pretty_json(self.snapshot())
 
 
 #: Shared no-op registry instance (stateless, safe to share globally).

@@ -35,6 +35,7 @@ import json
 import os
 from typing import Callable, List, Optional
 
+from repro._canon import compact_json
 from repro.obs.events import read_events, read_jsonl_tolerant
 from repro.obs.telemetry import Telemetry
 
@@ -137,9 +138,7 @@ class SnapshotStreamer:
         self._seq += 1
         self._last_t = float(t)
         if self._fh is not None:
-            self._fh.write(
-                json.dumps(snap, sort_keys=True, separators=(",", ":")) + "\n"
-            )
+            self._fh.write(compact_json(snap) + "\n")
             self._fh.flush()
         for subscriber in self._subscribers:
             subscriber(snap)

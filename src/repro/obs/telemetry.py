@@ -30,11 +30,11 @@ then only closes the stream.  Use it as a context manager (or call
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from repro._canon import write_pretty_json
 from repro.obs.events import NULL_EVENT_LOG, EventLog, NullEventLog
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, NullMetricsRegistry
@@ -138,8 +138,7 @@ class Telemetry:
                 counter.inc(delta)
 
         metrics_path = os.path.join(out_dir, METRICS_FILENAME)
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            fh.write(self.metrics.to_json() + "\n")
+        write_pretty_json(metrics_path, self.metrics.snapshot())
         paths["metrics"] = metrics_path
 
         if not isinstance(self.events, NullEventLog):
@@ -148,11 +147,7 @@ class Telemetry:
             paths["events"] = events_path
 
         spans_path = os.path.join(out_dir, SPANS_FILENAME)
-        with open(spans_path, "w", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(self.tracer.snapshot(), indent=2, sort_keys=True)
-                + "\n"
-            )
+        write_pretty_json(spans_path, self.tracer.snapshot())
         paths["spans"] = spans_path
 
         if manifest is not None:

@@ -43,10 +43,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro._canon import pretty_json
 from repro.serve.driver import ServeSession
 from repro.obs.metrics import merge_snapshots
 from repro.serve.gateway import GatewayConfig, GatewayServer
-from repro.serve.server import replay_wal
+from repro.serve.server import replay_wal, served_grid
 from repro.serve.shardmap import ShardInfo, ShardMap
 from repro.serve.wire import WireError
 
@@ -180,12 +181,10 @@ class LocalCluster:
     # -- shard processes -------------------------------------------------
 
     def _build_map(self, infos: List[ShardInfo]) -> ShardMap:
-        """A map over the standard study-area grid for these members."""
-        from repro.geo.regions import madison_study_area
-
-        anchor = madison_study_area().anchor
-        return ShardMap(infos, anchor.lat, anchor.lon,
-                        radius_m=self.config.radius_m)
+        """A map over the shards' served grid for these members."""
+        grid = served_grid({"radius_m": self.config.radius_m})
+        return ShardMap(infos, grid.origin.lat, grid.origin.lon,
+                        radius_m=grid.radius_m)
 
     async def _spawn_shard(self) -> ShardInfo:
         """Start one ``repro serve run`` subprocess; wait for its port."""
@@ -399,7 +398,7 @@ class LocalCluster:
         }
         path = Path(self.config.cluster_dir) / MANIFEST_NAME
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        tmp.write_text(pretty_json(manifest))
         tmp.replace(path)
 
 

@@ -70,9 +70,8 @@ import asyncio
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.config import WiScapeConfig
 from repro.core.controller import MeasurementCoordinator
 from repro.clients.protocol import MeasurementTask, MeasurementType
 from repro.geo.coords import GeoPoint
@@ -100,7 +99,10 @@ from repro.serve.wire import (
 )
 
 __all__ = ["ServeConfig", "CoordinatorServer", "build_coordinator",
-           "replay_wal"]
+           "replay_wal", "served_grid"]
+
+#: Heartbeat cadence advertised to clients in WELCOME (seconds).
+HEARTBEAT_S = 10.0
 
 #: Buckets for the server-side ACK latency histogram (seconds).
 _ACK_LATENCY_BUCKETS = (
@@ -115,10 +117,9 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    #: World/grid identity used to build the coordinator (mirrors
-    #: ``repro monitor``); persisted to ``wal_meta.json`` so replay can
-    #: rebuild the identical coordinator.
-    seed: int = 7
+    #: The coordinator's identity: its generator seed and its grid's
+    #: zone radius, persisted to ``wal_meta.json`` so replay can rebuild
+    #: the identical coordinator (:func:`build_coordinator`).
     gen_seed: int = 1
     radius_m: float = 250.0
     #: Admission control: concurrent session ceiling.
@@ -129,13 +130,10 @@ class ServeConfig:
     retry_after_s: float = 0.05
     #: Sessions silent for this long are closed (heartbeats reset it).
     idle_timeout_s: float = 30.0
-    #: Heartbeat cadence advertised to clients in WELCOME.
-    heartbeat_s: float = 10.0
     #: Per-frame payload ceiling (both directions).
     max_frame_bytes: int = wire.MAX_FRAME_BYTES
-    #: WAL batching/rotation knobs (see repro.serve.wal).
+    #: WAL batching knob (see repro.serve.wal).
     wal_fsync_every: int = 64
-    wal_segment_max_bytes: int = 8 * 1024 * 1024
     #: WAL group-commit time window (seconds; 0 = count-only policy).
     wal_fsync_interval_s: float = 0.0
     #: Reports the ingest writer drains per WAL group commit (one
@@ -151,29 +149,33 @@ class ServeConfig:
     shard_id: str = ""
 
 
-def build_coordinator(
-    seed: int = 7,
-    gen_seed: int = 1,
-    radius_m: float = 250.0,
-    config: Optional[WiScapeConfig] = None,
-) -> MeasurementCoordinator:
-    """A fresh coordinator over the standard monitor-city zone grid.
+def served_grid(meta: Mapping[str, Any]) -> ZoneGrid:
+    """The zone grid of the served coordinator a ``wal_meta.json`` describes.
 
-    Deterministic in its arguments — the server at startup and the WAL
-    replay path must call this identically to reach identical state.
-    ``seed`` is kept in the signature (and the WAL metadata) because the
-    grid anchor may become seed-dependent; today only the grid radius
-    and the coordinator's generator seed matter.  The coordinator keeps
-    metrics but no event log: nothing reads a served coordinator's
-    events, and a retained ``report.reject`` per rejected report would
-    grow the server's heap with every bad report.
+    Keys other than ``radius_m`` (the ``"seed"`` of older metas) are ignored.
     """
     from repro.geo.regions import madison_study_area
 
-    del seed  # reserved: the study-area anchor is fixed today
-    grid = ZoneGrid(madison_study_area().anchor, radius_m=radius_m)
+    radius_m = float(meta.get("radius_m", ServeConfig.radius_m))
+    return ZoneGrid(madison_study_area().anchor, radius_m=radius_m)
+
+
+def build_coordinator(
+    meta: Optional[Mapping[str, Any]] = None,
+) -> MeasurementCoordinator:
+    """A fresh served coordinator for a ``wal_meta.json`` dict.
+
+    The grid is :func:`served_grid`'s and the generator seed the meta's
+    ``gen_seed`` (the serve default when absent), so start-up and WAL
+    replay reach identical state from the same meta.  The coordinator
+    keeps metrics but no event log: nothing reads a served coordinator's
+    events, and a retained ``report.reject`` per rejected report would
+    grow the server's heap with every bad report.
+    """
+    meta = meta or {}
     return MeasurementCoordinator(
-        grid, config=config, seed=gen_seed,
+        served_grid(meta),
+        seed=int(meta.get("gen_seed", ServeConfig.gen_seed)),
         telemetry=Telemetry(events=NULL_EVENT_LOG),
     )
 
@@ -193,12 +195,7 @@ def replay_wal(
     from repro.serve.wal import iter_wal_reports
 
     if coordinator is None:
-        meta = WriteAheadLog.read_meta(wal_dir) or {}
-        coordinator = build_coordinator(
-            seed=int(meta.get("seed", 7)),
-            gen_seed=int(meta.get("gen_seed", 1)),
-            radius_m=float(meta.get("radius_m", 250.0)),
-        )
+        coordinator = build_coordinator(WriteAheadLog.read_meta(wal_dir))
     for report in iter_wal_reports(wal_dir):
         coordinator.ingest(report)
     return coordinator
@@ -268,10 +265,9 @@ class CoordinatorServer:
     async def start(self) -> None:
         """Recover from the WAL (if any), bind, and start serving."""
         cfg = self.config
+        identity = {"gen_seed": cfg.gen_seed, "radius_m": cfg.radius_m}
         if self.coordinator is None:
-            self.coordinator = build_coordinator(
-                seed=cfg.seed, gen_seed=cfg.gen_seed, radius_m=cfg.radius_m
-            )
+            self.coordinator = build_coordinator(identity)
         if self.wal_dir is not None:
             #: Recovery before accepting traffic: replay whatever the
             #: previous incarnation durably staged, then open the log
@@ -279,14 +275,11 @@ class CoordinatorServer:
             replay_wal(self.wal_dir, self.coordinator)
             self.wal = WriteAheadLog(
                 self.wal_dir,
-                segment_max_bytes=cfg.wal_segment_max_bytes,
                 fsync_every=cfg.wal_fsync_every,
                 fsync_interval_s=cfg.wal_fsync_interval_s,
             )
             self.wal.write_meta({
-                "seed": cfg.seed,
-                "gen_seed": cfg.gen_seed,
-                "radius_m": cfg.radius_m,
+                **identity,
                 "protocol_version": PROTOCOL_VERSION,
                 "commit_policy": self.wal.commit_policy,
             })
@@ -439,7 +432,7 @@ class CoordinatorServer:
             "session_id": session.session_id,
             "v": PROTOCOL_VERSION,
             "codec": codec,
-            "heartbeat_s": cfg.heartbeat_s,
+            "heartbeat_s": HEARTBEAT_S,
             "idle_timeout_s": cfg.idle_timeout_s,
             "max_frame_bytes": cfg.max_frame_bytes,
         }

@@ -20,10 +20,10 @@ every REDIRECT, and pushed to shards via MAP_UPDATE (see DESIGN.md
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro._canon import compact_json
 from repro.geo.coords import GeoPoint
 from repro.geo.zones import ZoneGrid
 from repro.serve.wire import ProtocolError
@@ -92,14 +92,10 @@ class ShardMap:
 
     def _hash_version(self) -> str:
         """First 12 hex chars of the SHA-256 of the canonical map JSON."""
-        canonical = json.dumps(
-            {
-                "shards": [[s.shard_id, s.host, s.port]
-                           for s in self.shards],
-                "grid": [self.origin_lat, self.origin_lon, self.radius_m],
-            },
-            sort_keys=True, separators=(",", ":"),
-        ).encode("utf-8")
+        canonical = compact_json({
+            "shards": [[s.shard_id, s.host, s.port] for s in self.shards],
+            "grid": [self.origin_lat, self.origin_lon, self.radius_m],
+        }).encode("utf-8")
         return hashlib.sha256(canonical).hexdigest()[:12]
 
     # -- lookups ---------------------------------------------------------

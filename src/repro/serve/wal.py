@@ -14,7 +14,7 @@ A WAL directory holds numbered append-only segments plus a small
 metadata file::
 
     WAL_DIR/
-      wal_meta.json        how to rebuild the coordinator (seed, grid, ...)
+      wal_meta.json        how to rebuild the coordinator (gen_seed, radius_m, ...)
       wal-00000001.log     records 0..k
       wal-00000002.log     records k+1.. (rotated at segment_max_bytes)
 
@@ -51,6 +51,8 @@ import zlib
 from typing import (
     TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
+
+from repro._canon import compact_json, pretty_json
 
 if TYPE_CHECKING:
     from repro.clients.protocol import MeasurementReport
@@ -154,9 +156,7 @@ class WriteAheadLog:
     @staticmethod
     def encode_record(record: Dict[str, Any]) -> bytes:
         """One record dict -> its CRC-prefixed WAL line (with newline)."""
-        payload = json.dumps(
-            record, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        payload = compact_json(record).encode("utf-8")
         return (b"%08x " % (zlib.crc32(payload) & 0xFFFFFFFF,)
                 + payload + b"\n")
 
@@ -264,7 +264,7 @@ class WriteAheadLog:
         path = os.path.join(self.wal_dir, WAL_META_FILENAME)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+            fh.write(pretty_json(meta) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

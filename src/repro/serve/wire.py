@@ -68,6 +68,7 @@ import struct
 from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro._canon import compact_json
 from repro.clients.protocol import (
     MeasurementReport,
     MeasurementTask,
@@ -189,9 +190,7 @@ def encode_frame(message: Dict[str, Any],
     if codec == CODEC_BINARY:
         payload = _encode_binary_payload(message)
     else:
-        payload = json.dumps(
-            message, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        payload = compact_json(message).encode("utf-8")
     if len(payload) > max_frame_bytes:
         raise FrameTooLargeError(
             f"frame payload {len(payload)} bytes > limit {max_frame_bytes}"
@@ -452,9 +451,7 @@ def _encode_binary_payload(message: Dict[str, Any]) -> bytes:
             return _pack_report_batch(message)
         except _NotPackable:
             pass
-    return bytes((_BIN_TAG_JSON,)) + json.dumps(
-        message, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    return bytes((_BIN_TAG_JSON,)) + compact_json(message).encode("utf-8")
 
 
 def _decode_binary_payload(payload: bytes) -> Dict[str, Any]:

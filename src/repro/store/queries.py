@@ -27,6 +27,7 @@ import sqlite3
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro._canon import compact_json
 from repro.store.db import StoreError
 
 __all__ = [
@@ -484,7 +485,6 @@ def logical_dump(conn: sqlite3.Connection) -> dict:
     """
     from repro.clients.protocol import unpack_samples
     from repro.store.schema import schema_version
-    from repro.store.writers import _canon
 
     runs_out = []
     for run in list_runs(conn):
@@ -498,7 +498,8 @@ def logical_dump(conn: sqlite3.Connection) -> dict:
             (rid,),
         ):
             row = list(row)
-            row[14] = _canon(unpack_samples(row[14]))  # v2's samples_json
+            # dumped as v2's samples_json text
+            row[14] = compact_json(unpack_samples(row[14]))
             samples.append(row)
         rollups = [
             list(row) for row in conn.execute(

@@ -49,6 +49,9 @@ keeps its v1 ``TEXT`` declaration: SQLite stores BLOB values unchanged
 under TEXT affinity, and a rename needs no table rebuild.
 JSON integers become doubles on the way (``[1]`` reads back as
 ``[1.0]``); every sample that came over the wire is already a float.
+
+v4 drops ``idx_samples_stream``, which no query read: each filters on
+``run_id`` plus ``seq``, ``start_s`` or ``accepted``.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ __all__ = [
 
 #: Version the code writes; databases at lower versions are migrated
 #: forward on open, databases at higher versions are refused.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _V1_DDL = [
     """
@@ -225,12 +228,15 @@ _V3_DDL = [
     "ALTER TABLE samples RENAME COLUMN samples_json TO samples_f64",
 ]
 
+_V4_DDL = ["DROP INDEX idx_samples_stream"]
+
 #: ``(version, description, [ddl statements])`` in apply order.
 MIGRATIONS: List[Tuple[int, str, List[str]]] = [
     (1, "baseline: runs/samples/rollups/metrics/events/alerts", _V1_DDL),
     (2, "runs.notes column + reject-reason index", _V2_DDL),
     (3, "samples.samples_json text -> samples.samples_f64 packed doubles",
      _V3_DDL),
+    (4, "drop idx_samples_stream (no query reads it)", _V4_DDL),
 ]
 
 

@@ -23,12 +23,12 @@ Three artifact shapes backfill into one schema:
 from __future__ import annotations
 
 import io
-import json
 import os
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro._canon import compact_json
 from repro.clients.protocol import MeasurementReport, pack_samples
 from repro.core.config import WiScapeConfig
 from repro.core.validation import ReportValidator
@@ -50,14 +50,6 @@ __all__ = [
 DEFAULT_BATCH_SIZE = 5000
 
 _ALERT_KINDS = ("alert.fired", "alert.resolved")
-
-
-#: Canonical JSON encoding (sorted keys, compact separators), used for
-#: every JSON-typed column so logical equality implies byte equality —
-#: the sweep determinism test compares store dumps across worker counts
-#: with plain string comparison.  Byte-identical to ``json.dumps`` with
-#: the same options, which would build a new encoder on every call.
-_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
@@ -133,8 +125,8 @@ def create_run(
                 kind,
                 source,
                 float(epoch_s if epoch_s is not None else default_epoch_s()),
-                None if manifest is None else _canon(manifest),
-                _canon(list(warnings)),
+                None if manifest is None else compact_json(manifest),
+                compact_json(list(warnings)),
             ),
         )
         return int(cur.lastrowid)
@@ -220,7 +212,7 @@ def ingest_reports(
                         zone_r, report.start_s, report.end_s,
                         report.point.lat, report.point.lon, report.speed_ms,
                         report.value, len(samples), pack_samples(samples),
-                        _canon(dict(report.extras)),
+                        compact_json(dict(report.extras)),
                         1 if outcome.ok else 0, outcome.reason,
                     ),
                 )
@@ -258,29 +250,34 @@ def import_wal(
 ) -> ImportResult:
     """Backfill a serve WAL directory into the store as one run.
 
-    The zone grid is rebuilt from ``wal_meta.json`` exactly the way
-    :func:`repro.serve.server.build_coordinator` rebuilds it for
-    replay, so zone assignment — and therefore every rollup — matches
-    what the crashed server had computed.
+    The zone grid comes from ``wal_meta.json`` through
+    :func:`repro.serve.server.served_grid`, as replay's does, so zone
+    assignment — and therefore every rollup — matches what the crashed
+    server had computed.
+
+    A failed import deletes its run and the batches it committed, then
+    re-raises.
     """
-    from repro.geo.regions import madison_study_area
+    from repro.serve.server import served_grid
     from repro.serve.wal import WriteAheadLog, iter_wal_reports
 
     meta = WriteAheadLog.read_meta(wal_dir) or {}
-    grid = ZoneGrid(
-        madison_study_area().anchor,
-        radius_m=float(meta.get("radius_m", 250.0)),
-    )
+    grid = served_grid(meta)
     run_id = create_run(
         conn, label, kind="wal", source=os.path.abspath(wal_dir),
         manifest=meta or None, replace=replace,
     )
     result = ImportResult(label=label, run_ids=[run_id])
     result._count("runs")
-    return ingest_reports(
-        conn, run_id, iter_wal_reports(wal_dir), grid,
-        batch_size=batch_size, result=result,
-    )
+    try:
+        return ingest_reports(
+            conn, run_id, iter_wal_reports(wal_dir), grid,
+            batch_size=batch_size, result=result,
+        )
+    except BaseException:
+        with transaction(conn):
+            conn.execute("DELETE FROM runs WHERE run_id = ?", (run_id,))
+        raise
 
 
 def import_telemetry_dir(
@@ -323,21 +320,21 @@ def import_telemetry_dir(
                 conn.execute(
                     "INSERT INTO metrics (run_id, metric_kind, name,"
                     " value_json) VALUES (?, ?, ?, ?)",
-                    (run_id, metric_kind, name, _canon(values[name])),
+                    (run_id, metric_kind, name, compact_json(values[name])),
                 )
                 result._count("metrics")
         for name in sorted(metrics.get("histograms") or {}):
             conn.execute(
                 "INSERT INTO histograms (run_id, name, snap_json)"
                 " VALUES (?, ?, ?)",
-                (run_id, name, _canon(metrics["histograms"][name])),
+                (run_id, name, compact_json(metrics["histograms"][name])),
             )
             result._count("histograms")
         for key in sorted(artifacts.get("spans") or {}):
             conn.execute(
                 "INSERT INTO spans (run_id, key, snap_json)"
                 " VALUES (?, ?, ?)",
-                (run_id, key, _canon(artifacts["spans"][key])),
+                (run_id, key, compact_json(artifacts["spans"][key])),
             )
             result._count("spans")
 
@@ -353,7 +350,8 @@ def import_telemetry_dir(
                 conn.execute(
                     "INSERT INTO events (run_id, seq, kind, t, payload_json)"
                     " VALUES (?, ?, ?, ?, ?)",
-                    (run_id, seq, event_kind, event.get("t"), _canon(event)),
+                    (run_id, seq, event_kind, event.get("t"),
+                     compact_json(event)),
                 )
                 result._count("events")
                 if event_kind in _ALERT_KINDS:
@@ -366,7 +364,8 @@ def import_telemetry_dir(
                             "fired" if event_kind == "alert.fired"
                             else "resolved",
                             str(event.get("rule")), str(event.get("metric")),
-                            str(event.get("severity", "?")), _canon(event),
+                            str(event.get("severity", "?")),
+                            compact_json(event),
                         ),
                     )
                     result._count("alerts")
@@ -384,8 +383,8 @@ def import_telemetry_dir(
             " last_t_json) VALUES (?, ?, ?, ?)",
             (
                 run_id, snapshots.count,
-                _canon(snapshots.first_t) if snapshots.count else None,
-                _canon(snapshots.latest.get("t")) if snapshots.count
+                compact_json(snapshots.first_t) if snapshots.count else None,
+                compact_json(snapshots.latest.get("t")) if snapshots.count
                 else None,
             ),
         )

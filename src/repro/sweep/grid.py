@@ -36,6 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro._canon import write_pretty_json
 from repro.obs.manifest import MANIFEST_VERSION, _versions, config_hash
 from repro.sim.rng import derive_seed
 
@@ -283,8 +284,7 @@ class SweepManifest:
 
     def write(self, path: str) -> None:
         """Write the manifest as indented, key-sorted JSON."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_pretty_json(path, self.to_dict())
 
     @staticmethod
     def read(path: str) -> dict:

@@ -25,6 +25,7 @@ import json
 import os
 from typing import Dict, List, Optional
 
+from repro._canon import compact_json, write_pretty_json
 from repro.obs.metrics import merge_snapshots
 from repro.sweep.grid import (
     CELL_FILENAME,
@@ -105,8 +106,7 @@ def merge_cells(out_dir: str,
     summary_path = os.path.join(out_dir, SUMMARY_FILENAME)
     with open(summary_path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+            fh.write(compact_json(record) + "\n")
 
     cell_metrics: List[dict] = []
     for record in records:
@@ -136,9 +136,7 @@ def merge_cells(out_dir: str,
         merged["counters"][f"sweep.cells_{status}"] = float(
             status_counts[status]
         )
-    with open(os.path.join(out_dir, METRICS_FILENAME), "w",
-              encoding="utf-8") as fh:
-        fh.write(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    write_pretty_json(os.path.join(out_dir, METRICS_FILENAME), merged)
     if store_path is not None:
         _ingest_into_store(out_dir, store_path, result)
     return result

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as wait_readable
 from typing import Any, Dict, List, Optional
 
+from repro._canon import write_pretty_json
 from repro.sweep.grid import (
     CELL_FILENAME,
     CELLS_DIRNAME,
@@ -137,14 +138,8 @@ def run_cell(cell: SweepCell, ctx, out_dir: str) -> Dict[str, Any]:
         finally:
             ctx.cell_dir = None
         telemetry.write_artifacts(cell_dir)
-    _write_cell_record(cell_dir, record)
+    write_pretty_json(os.path.join(cell_dir, CELL_FILENAME), record)
     return record
-
-
-def _write_cell_record(cell_dir: str, record: Dict[str, Any]) -> None:
-    with open(os.path.join(cell_dir, CELL_FILENAME), "w",
-              encoding="utf-8") as fh:
-        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _worker_main(worker_id: int, out_dir: str, task_q, conn,
@@ -419,7 +414,8 @@ class SweepRunner:
                     self.out_dir, CELLS_DIRNAME, cell_id
                 )
                 os.makedirs(cell_dir, exist_ok=True)
-                _write_cell_record(cell_dir, record)
+                write_pretty_json(os.path.join(cell_dir, CELL_FILENAME),
+                                  record)
                 self._account(result, cell_id, "failed")
                 completed.add(cell_id)
 
@@ -562,9 +558,7 @@ class SweepRunner:
                 for k, v in sorted(getattr(self, "_durations", {}).items())
             },
         }
-        with open(os.path.join(self.out_dir, STATUS_FILENAME), "w",
-                  encoding="utf-8") as fh:
-            fh.write(json.dumps(status, indent=2, sort_keys=True) + "\n")
+        write_pretty_json(os.path.join(self.out_dir, STATUS_FILENAME), status)
 
     def _record_store_status(self, merged) -> None:
         """Note the reducer's store ingest in sweep_status.json.
@@ -580,5 +574,4 @@ class SweepRunner:
             "path": merged.store_path,
             "rows_ingested": merged.store_rows,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(status, indent=2, sort_keys=True) + "\n")
+        write_pretty_json(path, status)

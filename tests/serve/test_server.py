@@ -11,6 +11,7 @@ from repro.geo.zones import ZoneGrid
 from repro.obs.telemetry import Telemetry
 from repro.serve.loadgen import synthetic_report
 from repro.serve.server import (
+    HEARTBEAT_S,
     CoordinatorServer,
     ServeConfig,
     build_coordinator,
@@ -67,7 +68,7 @@ class TestHandshake:
             assert welcome["type"] == "WELCOME"
             assert welcome["v"] == PROTOCOL_VERSION
             assert welcome["session_id"] >= 1
-            assert welcome["heartbeat_s"] == server.config.heartbeat_s
+            assert welcome["heartbeat_s"] == HEARTBEAT_S == 10.0
             assert welcome["max_frame_bytes"] == server.config.max_frame_bytes
             assert server.sessions_active == 1
             writer.close()

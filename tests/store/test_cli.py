@@ -33,7 +33,7 @@ class TestStoreLifecycle:
                                               wal_dir):
         db = str(tmp_path / "db.sqlite")
         rc, out, _ = run_cli(capsys, "store", "init", db)
-        assert rc == 0 and "schema v3" in out
+        assert rc == 0 and "schema v4" in out
 
         rc, out, _ = run_cli(capsys, "store", "import", db, wal_dir)
         assert rc == 0
@@ -122,7 +122,7 @@ class TestStoreErrors:
         rc, out, err = run_cli(capsys, "store", "query", db, "--what", "runs")
         assert rc == 2 and out == ""
         assert err == (f"{db}: database is at schema v99, newer than this "
-                       f"code's v3; refusing to downgrade (upgrade the code "
+                       f"code's v4; refusing to downgrade (upgrade the code "
                        f"instead)\n")
 
     def test_import_unimportable_dir(self, capsys, tmp_path):

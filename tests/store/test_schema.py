@@ -218,7 +218,8 @@ class TestPackedSamplesMigration:
         finally:
             migrated.close()
             fresh.close()
-        assert got["schema_version"] == want["schema_version"] == 3
+        assert (got["schema_version"] == want["schema_version"]
+                == SCHEMA_VERSION)
         assert dump_text(got) == dump_text(want)
         samples_text = [row[14] for row in got["runs"][0]["samples"]]
         assert samples_text[0] == json.dumps([reports[0].value])
@@ -305,6 +306,32 @@ class TestPackedSamplesMigration:
             assert schema_version(raw) == 2
         finally:
             raw.close()
+
+
+class TestDropStreamIndexMigration:
+    def test_v3_file_migrates_without_the_index(self, tmp_path):
+        path = str(tmp_path / "v3.sqlite")
+        raw = sqlite3.connect(path, isolation_level=None)
+        try:
+            apply_migrations(raw, target=3)
+            ingest_reports(raw, create_run(raw, "live", "wal"),
+                           v2_reports(), default_grid())
+            before = logical_dump(raw)
+        finally:
+            raw.close()
+        conn = connect(path)
+        try:
+            indexes = {row[0] for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index'"
+                " AND tbl_name = 'samples'")}
+            after = logical_dump(conn)
+        finally:
+            conn.close()
+        assert "idx_samples_stream" not in indexes
+        assert "idx_samples_reject" in indexes
+        assert (before["schema_version"], after["schema_version"]) == (3, 4)
+        before["schema_version"] = after["schema_version"]
+        assert dump_text(after) == dump_text(before)
 
 
 class TestDowngradeRefusal:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro._canon import compact_json, pretty_json
 from repro.clients.protocol import unpack_samples
 from repro.store import (
     StoreError,
@@ -18,7 +19,6 @@ from repro.store import (
     ingest_reports,
     list_runs,
 )
-from repro.store.writers import _canon
 
 from tests.store.helpers import (
     EPOCH_S,
@@ -145,8 +145,9 @@ class TestCanonicalJson:
     @settings(max_examples=200, deadline=None)
     @given(JSON_VALUES)
     def test_cached_encoder_matches_json_dumps(self, obj):
-        assert _canon(obj) == json.dumps(obj, sort_keys=True,
-                                         separators=(",", ":"))
+        assert compact_json(obj) == json.dumps(obj, sort_keys=True,
+                                               separators=(",", ":"))
+        assert pretty_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 class TestCreateRun:
@@ -195,6 +196,53 @@ class TestImportWal:
             "SELECT DISTINCT zone_q, zone_r FROM samples"
             " WHERE run_id = ? AND accepted = 1", (run_id,))}
         assert got == want
+
+
+class TestFailedWalImport:
+    """A WAL import that fails leaves no run behind, so the label
+    stays free for a clean import."""
+
+    @pytest.fixture
+    def bad_wal(self, tmp_path):
+        from repro.serve.wal import WriteAheadLog
+        from repro.serve.wire import report_to_wire
+
+        wal_dir = write_wal(tmp_path / "bad",
+                            [make_report(i) for i in range(3)])
+        bad = report_to_wire(make_report(3))
+        bad["task_id"] = 10 ** 30
+        with WriteAheadLog(wal_dir) as wal:
+            wal.append(bad)
+        return wal_dir
+
+    def table_counts(self, store):
+        return {table: store.execute(
+                    f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                for table in ("runs", "samples", "rollups")}
+
+    @pytest.mark.parametrize("batch_size", [5000, 2])
+    def test_leaves_no_run_samples_or_rollups(self, store, bad_wal,
+                                              batch_size):
+        from repro.serve.wal import WalCorruptionError
+
+        with pytest.raises(WalCorruptionError, match="WAL seq 3"):
+            import_wal(store, bad_wal, "w", batch_size=batch_size)
+        assert self.table_counts(store) == {
+            "runs": 0, "samples": 0, "rollups": 0}
+        assert not store.in_transaction
+
+    def test_clean_import_under_the_same_label_succeeds(self, store,
+                                                         tmp_path, bad_wal):
+        from repro.serve.wal import WalCorruptionError
+
+        with pytest.raises(WalCorruptionError):
+            import_wal(store, bad_wal, "w", batch_size=2)
+        good = write_wal(tmp_path / "good",
+                         [make_report(i) for i in range(4)])
+        result = import_wal(store, good, "w", batch_size=2)
+        assert (result.accepted, result.rejected) == (4, 0)
+        assert [r.label for r in list_runs(store)] == ["w"]
+        assert self.table_counts(store)["samples"] == 4
 
 
 class TestImportAcrossCodecs:
