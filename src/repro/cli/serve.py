@@ -1,7 +1,9 @@
 """``repro serve run|loadgen|replay|cluster``: the coordinator service.
 
 Nothing here imports the store or the WAL at module level, so
-``serve run`` loads only the ingest path.
+``serve run`` loads only the ingest path.  The wire processes (``run``,
+``loadgen``, ``cluster``) import asyncio through
+:func:`_asyncio_without_ssl`, since the service offers no TLS.
 """
 
 from __future__ import annotations
@@ -13,6 +15,27 @@ from pathlib import Path
 from repro.cli.common import CommandError, Group, arg, open_store, print_json
 
 COMMANDS = Group("serve", help="coordinator-as-a-service utilities")
+
+
+def _asyncio_without_ssl():
+    """``asyncio``, imported with ``ssl`` marked unavailable.
+
+    asyncio imports ``ssl``, which maps OpenSSL's libssl and libcrypto,
+    only for TLS transports, and guards every such import with
+    ``try/except ImportError``; the service speaks plain TCP.  The
+    ``None`` entry lasts for this one import, so a later ``import ssl``
+    in the same process still works.  When ``ssl`` or asyncio is loaded
+    already, this is a plain import.
+    """
+    if "ssl" in sys.modules or "asyncio" in sys.modules:
+        import asyncio
+        return asyncio
+    sys.modules["ssl"] = None
+    try:
+        import asyncio
+    finally:
+        del sys.modules["ssl"]
+    return asyncio
 
 
 @COMMANDS.command(
@@ -47,7 +70,7 @@ COMMANDS = Group("serve", help="coordinator-as-a-service utilities")
 )
 def cmd_serve_run(args: argparse.Namespace) -> int:
     """``repro serve run``: run the coordinator as a TCP service."""
-    import asyncio
+    asyncio = _asyncio_without_ssl()
 
     from repro.serve import CoordinatorServer, ServeConfig
 
@@ -112,6 +135,8 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
 )
 def cmd_serve_loadgen(args: argparse.Namespace) -> int:
     """``repro serve loadgen``: stress a running coordinator service."""
+    _asyncio_without_ssl()  # before repro.serve imports it
+
     from repro.serve import LoadgenConfig, run_loadgen_sync
 
     result = run_loadgen_sync(LoadgenConfig(
@@ -250,8 +275,9 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
 )
 def cmd_serve_cluster(args: argparse.Namespace) -> int:
     """``repro serve cluster``: run a sharded cluster behind a gateway."""
-    import asyncio
     import signal
+
+    asyncio = _asyncio_without_ssl()
 
     from repro.serve import ClusterConfig, LocalCluster
 

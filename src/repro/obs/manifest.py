@@ -19,13 +19,15 @@ stamp it on the *filename* or in their own wrapper record.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
-import platform
 import sys
 from typing import Any, Dict, Optional
 
 from repro._canon import compact_json, pretty_json, write_pretty_json
+
+# ``hashlib`` (which maps OpenSSL's libcrypto) and ``platform`` are
+# imported where they are used: the served coordinator imports this
+# module but never builds a manifest (DESIGN.md §10).
 
 __all__ = ["config_hash", "RunManifest"]
 
@@ -49,11 +51,15 @@ def _canonical(obj: Any) -> Any:
 
 def config_hash(config: Any) -> str:
     """Stable sha256 (hex, 16 chars) of a config dataclass/dict."""
+    import hashlib
+
     blob = compact_json(_canonical(config))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def _versions() -> Dict[str, str]:
+    import platform
+
     try:
         import numpy
         numpy_version = numpy.__version__
@@ -82,6 +88,8 @@ class RunManifest:
         zone_grid: Optional[Dict[str, Any]] = None,
         extra: Optional[Dict[str, Any]] = None,
     ):
+        import platform
+
         self.run_kind = run_kind
         self.seed = int(seed)
         self.gen_seed = None if gen_seed is None else int(gen_seed)

@@ -19,7 +19,6 @@ every REDIRECT, and pushed to shards via MAP_UPDATE (see DESIGN.md
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -27,6 +26,10 @@ from repro._canon import compact_json
 from repro.geo.coords import GeoPoint
 from repro.geo.zones import ZoneGrid
 from repro.serve.wire import ProtocolError
+
+# ``hashlib`` maps OpenSSL's libcrypto, so it is imported where a hash is
+# taken: a single-node server imports this module but builds no map
+# (DESIGN.md §10).
 
 __all__ = ["ShardInfo", "ShardMap"]
 
@@ -50,6 +53,8 @@ class ShardInfo:
 
 def _rendezvous_score(zone: ZoneId, shard_id: str) -> bytes:
     """Deterministic per-(zone, shard) weight for HRW hashing."""
+    import hashlib
+
     key = f"{zone[0]},{zone[1]}|{shard_id}".encode("utf-8")
     return hashlib.sha256(key).digest()
 
@@ -92,6 +97,8 @@ class ShardMap:
 
     def _hash_version(self) -> str:
         """First 12 hex chars of the SHA-256 of the canonical map JSON."""
+        import hashlib
+
         canonical = compact_json({
             "shards": [[s.shard_id, s.host, s.port] for s in self.shards],
             "grid": [self.origin_lat, self.origin_lon, self.radius_m],

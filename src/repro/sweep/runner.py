@@ -344,6 +344,8 @@ class SweepRunner:
             procs[wid] = p
             readers[wid] = reader
             inflight[wid] = None
+            #: A worker that runs no cell still appears in the status.
+            self._cache_stats[wid] = {"size": 0, "evictions": 0}
 
         def drain(wid: int) -> int:
             """Handle every message waiting in ``wid``'s pipe.

@@ -17,6 +17,10 @@ class TestConfigHash:
         changed = dataclasses.replace(cfg, tick_interval_s=cfg.tick_interval_s + 1)
         assert config_hash(cfg) != config_hash(changed)
 
+    def test_default_config_hash_is_pinned(self):
+        # A changed hash input or hash function moves this literal.
+        assert config_hash(WiScapeConfig()) == "3861c7766d09d3d3"
+
     def test_dict_key_order_irrelevant(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
 

@@ -6,14 +6,18 @@ Every other entry point -- the served coordinator, the wire client
 offline cluster replay, and the operator tools (``store import``,
 ``store query``, ``obs report``) -- runs here in a fresh interpreter
 that imports ``repro.cli`` first, as the console script does, and must
-leave every :data:`HEAVY` module unloaded.
+leave every :data:`HEAVY` module unloaded.  The served coordinator also
+leaves OpenSSL unloaded (:data:`OPENSSL`): it offers no TLS and, on a
+single node, hashes nothing.
 """
 
+import asyncio
 import json
 import subprocess
 import sys
 import time
 
+from repro.serve.driver import ServeSession
 from repro.serve.loadgen import synthetic_report
 from repro.serve.wal import WriteAheadLog
 
@@ -25,6 +29,10 @@ HEAVY = (
     "repro.clients.agent",
     "http.server",
 )
+
+#: Modules that map OpenSSL's libssl or libcrypto, or that (like
+#: ``platform``) only a run manifest needs; ``repro serve run`` loads none.
+OPENSSL = ("ssl", "_ssl", "hashlib", "_hashlib", "platform")
 
 #: Appended to every entry-point script: the loaded module set goes out
 #: beside the script's own results.
@@ -134,6 +142,55 @@ threading.Thread(target=interrupt_once_listening, daemon=True).start()
 with contextlib.redirect_stdout(io.StringIO()):
     results = {"rc": repro.cli.main(
         ["serve", "run", "--port", "0", "--port-file", str(port_file)])}
+"""
+
+SERVE_RUN_AFTER_TRAFFIC = """
+import contextlib, io, json, os, signal, sys, threading, time
+from pathlib import Path
+
+import repro.cli
+
+port_file, wal_dir, done_file = Path(sys.argv[1]), sys.argv[2], Path(sys.argv[3])
+
+def interrupt_once_served():
+    while not done_file.exists():
+        time.sleep(0.01)
+    os.kill(os.getpid(), signal.SIGINT)
+
+threading.Thread(target=interrupt_once_served, daemon=True).start()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = repro.cli.main(["serve", "run", "--port", "0", "--wal", wal_dir,
+                         "--port-file", str(port_file)])
+with open("/proc/self/maps") as fh:
+    libs = sorted({line.split()[-1].rsplit("/", 1)[-1] for line in fh
+                   if "libssl" in line or "libcrypto" in line})
+results = {"rc": rc, "openssl_libs": libs}
+"""
+
+SERVE_RUN_THEN_SSL = """
+import contextlib, io, json, os, signal, sys, threading, time
+from pathlib import Path
+
+import repro.cli
+
+port_file = Path(sys.argv[1])
+
+def interrupt_once_listening():
+    while not (port_file.exists() and port_file.read_text().endswith("\\n")):
+        time.sleep(0.01)
+    os.kill(os.getpid(), signal.SIGINT)
+
+threading.Thread(target=interrupt_once_listening, daemon=True).start()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = repro.cli.main(
+        ["serve", "run", "--port", "0", "--port-file", str(port_file)])
+ssl_before = "ssl" in sys.modules
+
+import ssl
+
+ssl.create_default_context()
+results = {"rc": rc, "ssl_before": ssl_before,
+           "openssl_version": ssl.OPENSSL_VERSION}
 """
 
 STORE_QUERY = """
@@ -261,6 +318,63 @@ def test_serve_run_loads_only_its_command_group(tmp_path):
     assert out["rc"] == 0
     assert cli_modules(loaded) == {
         "repro.cli", "repro.cli.common", "repro.cli.serve"}
+
+
+async def _serve_traffic(port):
+    """A binary REPORT_BATCH, JSON REPORTs and a STATS; the STATS reply."""
+    network = synthetic_report(0, 0)["network"]
+    async with ServeSession("127.0.0.1", port, "footprint-bin", [network],
+                            codecs=["binary"]) as session:
+        assert session.codec == "binary"
+        batch = [synthetic_report(0, seq) for seq in range(8)]
+        summary = await session.send_report_batch(batch)
+        assert summary["_batches"] == 1
+    async with ServeSession("127.0.0.1", port, "footprint-json",
+                            [network]) as session:
+        assert session.codec == "json"
+        for seq in range(8, 11):
+            await session.send_report(synthetic_report(0, seq))
+        return await session.stats()
+
+
+def test_served_coordinator_loads_no_openssl(tmp_path):
+    port_file, done_file = tmp_path / "port", tmp_path / "done"
+    server = subprocess.Popen(
+        [sys.executable, "-c", SERVE_RUN_AFTER_TRAFFIC + REPORT,
+         str(port_file), str(tmp_path / "wal"), str(done_file)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 30.0
+        while not (port_file.exists()
+                   and port_file.read_text().endswith("\n")):
+            assert server.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        stats = asyncio.run(_serve_traffic(int(port_file.read_text())))
+        done_file.write_text("")
+        stdout, stderr = server.communicate(timeout=60)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=10)
+    assert server.returncode == 0, stderr
+    out = json.loads(stdout)
+    loaded = set(out.pop("modules"))
+    assert out["rc"] == 0
+    ingested = stats["coordinator"]["counters"]["coordinator.reports_ingested"]
+    assert ingested == 11
+    assert [name for name in OPENSSL if name in loaded] == []
+    assert out["openssl_libs"] == []
+    assert [name for name in HEAVY if name in loaded] == []
+
+
+def test_serve_run_leaves_ssl_importable(tmp_path):
+    # The block on ``ssl`` covers only serve run's asyncio import.
+    out, loaded = run_entry_point(SERVE_RUN_THEN_SSL, tmp_path / "port")
+    assert out["rc"] == 0
+    assert out["ssl_before"] is False
+    assert out["openssl_version"].startswith(("OpenSSL", "LibreSSL"))
+    assert "ssl" in loaded
 
 
 def test_store_query_loads_only_its_command_group(tmp_path):

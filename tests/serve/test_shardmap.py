@@ -36,6 +36,11 @@ class TestVersion:
         moved = base.with_shard(ShardInfo("shard-1", "127.0.0.1", 9999))
         assert moved.version != base.version
 
+    def test_version_bytes_are_pinned(self):
+        # A golden literal: a change to the hash input, its canonical
+        # JSON or the hash itself moves it, and every running map's too.
+        assert make_map(3).version == "68dff2df229e"
+
     def test_duplicate_shard_ids_are_rejected(self):
         with pytest.raises(ValueError):
             ShardMap([ShardInfo("s-0", "h", 1), ShardInfo("s-0", "h", 2)],
@@ -50,6 +55,17 @@ class TestOwnership:
                 owner = smap.owner_of((zx, zy))
                 assert owner is not None
                 assert smap.shard(owner.shard_id) is owner
+
+    def test_owners_are_pinned(self):
+        # Golden rendezvous winners for the pinned map above.
+        smap = make_map(3)
+        owners = {
+            (0, 0): "shard-0", (1, 0): "shard-1", (0, 1): "shard-1",
+            (-1, -1): "shard-0", (3, -7): "shard-2", (12, 5): "shard-2",
+            (-20, 14): "shard-2", (100, -100): "shard-0",
+        }
+        assert {zone: smap.owner_of(zone).shard_id
+                for zone in owners} == owners
 
     def test_empty_map_owns_nothing(self):
         smap = ShardMap([], *ANCHOR)
