@@ -45,8 +45,11 @@ def test_telemetry_disabled_overhead_udp_train_batch(landscape, point):
     """1000 disabled-mode guards must cost < 5% of one 50-train batch.
 
     ``udp_train_batch`` performs ~3 guard sequences per call; billing a
-    thousand leaves > 300x headroom while still failing loudly if the
-    no-op path ever grows a lock, an allocation, or a dict rebuild.
+    thousand fails loudly if the no-op path ever grows a lock, an
+    allocation, or a dict rebuild.  The bill sits at its bound, not far
+    under it: two sets of 15 in-process trials on a 2-vCPU Xeon put it
+    at 3.9-6.4% of the batch path (medians 5.0% and 5.3%), so this gate
+    fails intermittently on such a host (ROADMAP item 6).
     """
     channel = MeasurementChannel(
         landscape, NetworkId.NET_B, np.random.default_rng(7)

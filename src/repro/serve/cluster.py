@@ -56,6 +56,12 @@ __all__ = ["ClusterConfig", "LocalCluster", "replay_cluster"]
 #: Name of the manifest the supervisor maintains in its cluster dir.
 MANIFEST_NAME = "cluster.json"
 
+#: Seconds a shard gets to write its port file before startup fails.
+START_TIMEOUT_S = 30.0
+
+#: Cadence of the death-watch poll over shard processes (seconds).
+MONITOR_POLL_S = 0.15
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -77,10 +83,6 @@ class ClusterConfig:
     ingest_queue_max: int = 1024
     commit_batch_max: int = 256
     wal_fsync_every: int = 64
-    #: Seconds a shard gets to write its port file before startup fails.
-    start_timeout_s: float = 30.0
-    #: Cadence of the death-watch poll over shard processes.
-    monitor_poll_s: float = 0.15
     #: Reports per REPORT_BATCH frame while draining a dead WAL.
     drain_batch_size: int = 256
 
@@ -228,7 +230,7 @@ class LocalCluster:
     async def _await_port_file(self, port_file: Path,
                                proc: subprocess.Popen) -> int:
         """Poll for a shard's port file (RuntimeError on timeout/death)."""
-        deadline = time.monotonic() + self.config.start_timeout_s
+        deadline = time.monotonic() + START_TIMEOUT_S
         while time.monotonic() < deadline:
             if port_file.exists():
                 text = port_file.read_text().strip()
@@ -272,7 +274,7 @@ class LocalCluster:
     async def _monitor(self) -> None:
         """Poll shard processes; rebalance + drain on every death."""
         while True:
-            await asyncio.sleep(self.config.monitor_poll_s)
+            await asyncio.sleep(MONITOR_POLL_S)
             dead = [
                 shard_id for shard_id, shard in self._shards.items()
                 if shard.proc.poll() is not None

@@ -20,18 +20,22 @@ Execution model
 
 ``workers <= 1`` runs every cell inline — no subprocesses, useful for
 debugging and as the byte-identical baseline.  ``workers > 1`` spawns a
-pool of worker processes fed from a **bounded** task queue (depth
-``2 * workers``), so a million-cell grid never materializes in queue
-memory.  Each worker owns a
+pool of worker processes, each joined to the supervisor by one duplex
+pipe: the supervisor sends a worker one cell, the worker replies with
+that cell's outcome, and the supervisor sends it the next cell (or
+``None`` once nothing is pending), so it always knows which cell each
+worker holds.  Each worker owns a
 :class:`~repro.sweep.scenarios.WorkerContext` whose warm caches (built
 landscapes, survey traces) persist across the cells it executes.
 
 Fault tolerance: a worker that dies mid-cell (OOM-kill, segfault,
-``os._exit``) is detected by the supervisor, the in-flight cell is
-requeued up to ``max_retries`` times, and a replacement worker is
-spawned.  A cell that keeps killing workers is marked ``failed`` in its
-``cell.json`` and the sweep carries on — one poisoned cell cannot sink
-a thousand-cell grid.
+``os._exit``) is detected by the supervisor (its pipe reaches EOF or
+its process is gone).  The cell it held counts as finished if its
+``cell.json`` on disk is terminal; otherwise it is requeued up to
+``max_retries`` times.  A replacement worker is spawned while cells
+remain pending.  A cell that keeps killing workers is marked
+``failed`` in its ``cell.json`` and the sweep carries on — one poisoned
+cell cannot sink a thousand-cell grid.
 
 Determinism: a cell's artifacts are a pure function of the cell itself
 (scenario + seed + overrides; RNG is spawn-keyed off the cell id), so
@@ -46,7 +50,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import queue as queue_mod
 import time
 import traceback
 from collections import deque
@@ -66,17 +69,6 @@ from repro.sweep.grid import (
 )
 
 __all__ = ["SweepRunner", "SweepResult", "run_cell", "pick_start_method"]
-
-#: Seconds the supervisor waits on the workers' pipes per poll.
-_POLL_S = 0.05
-
-#: Directory (under OUT/) of per-worker in-flight marker files.
-_WORKERS_DIRNAME = ".workers"
-
-
-def _marker_path(out_dir: str, worker_id: int) -> str:
-    return os.path.join(out_dir, _WORKERS_DIRNAME, f"{worker_id}.cell")
-
 
 def pick_start_method(requested: str = "auto") -> str:
     """Resolve the multiprocessing start method.
@@ -142,38 +134,34 @@ def run_cell(cell: SweepCell, ctx, out_dir: str) -> Dict[str, Any]:
     return record
 
 
-def _worker_main(worker_id: int, out_dir: str, task_q, conn,
+def _worker_main(conn, out_dir: str,
                  cache_max: Optional[int] = None) -> None:
-    """Worker loop: pull cell dicts until the ``None`` sentinel arrives.
+    """Worker loop: run each cell the supervisor sends until ``None``.
 
-    Before running each cell the worker synchronously writes its id to a
-    per-worker marker file, which is what the supervisor trusts when
-    attributing a dead worker's in-flight cell.  Messages go to the
-    supervisor over this worker's own pipe ``conn``, sent synchronously
-    between cells.  A shared ``multiprocessing.Queue`` would not do: its
-    feeder thread can be killed holding the queue's write lock when the
-    cell kills the process (``os._exit``, segfault, OOM-kill), and every
-    other worker's messages then stall behind that lock.
+    ``conn`` is this worker's end of its own duplex pipe.  After each
+    cell the worker replies ``(cell_id, status, duration_s, cache_size,
+    evictions)`` and waits for its next cell.  The reply is a
+    synchronous pipe write, not a shared ``multiprocessing.Queue`` put:
+    a queue's feeder thread can be killed holding the queue's write lock
+    when a cell kills the process (``os._exit``, segfault, OOM-kill),
+    and every other worker's messages then stall behind that lock.
     """
     from repro.sweep.scenarios import WorkerContext
 
     ctx = WorkerContext() if cache_max is None else WorkerContext(cache_max)
-    marker = _marker_path(out_dir, worker_id)
     while True:
-        item = task_q.get()
+        try:
+            item = conn.recv()
+        except EOFError:  # the supervisor is gone
+            break
         if item is None:
             break
         cell = SweepCell.from_dict(item)
-        with open(marker, "w", encoding="utf-8") as fh:
-            fh.write(cell.cell_id)
-        conn.send(("started", worker_id, cell.cell_id))
         t0 = time.perf_counter()
         record = run_cell(cell, ctx, out_dir)
-        with open(marker, "w", encoding="utf-8") as fh:
-            fh.write("")
         conn.send((
-            "done", worker_id, cell.cell_id, record["status"],
-            time.perf_counter() - t0, ctx.cache_size, ctx.evictions,
+            cell.cell_id, record["status"], time.perf_counter() - t0,
+            ctx.cache_size, ctx.evictions,
         ))
 
 
@@ -206,7 +194,6 @@ class SweepRunner:
         workers: int = 1,
         max_retries: int = 1,
         start_method: str = "auto",
-        queue_depth: Optional[int] = None,
         context_cache_max: Optional[int] = None,
         store_path: Optional[str] = None,
     ):
@@ -221,7 +208,6 @@ class SweepRunner:
         self.workers = int(workers)
         self.max_retries = int(max_retries)
         self.start_method = pick_start_method(start_method)
-        self.queue_depth = queue_depth or 2 * self.workers
         #: LRU bound on each worker's WorkerContext memo (the
         #: ``sweep.context_cache_max`` knob); None takes the default.
         self.context_cache_max = context_cache_max
@@ -241,8 +227,6 @@ class SweepRunner:
         """
         cells = self.grid.cells()
         os.makedirs(os.path.join(self.out_dir, CELLS_DIRNAME), exist_ok=True)
-        os.makedirs(os.path.join(self.out_dir, _WORKERS_DIRNAME),
-                    exist_ok=True)
         manifest = SweepManifest(
             self.grid, workers=self.workers, start_method=self.start_method,
             max_retries=self.max_retries,
@@ -312,193 +296,117 @@ class SweepRunner:
                 self._prewarmed_landscapes = prewarm_shared_landscapes(
                     seeds
                 )
-        task_q = ctx.Queue(maxsize=self.queue_depth)
         result = SweepResult(out_dir=self.out_dir, total=len(cells))
         self._durations = {}
         self._cache_stats = {}
 
-        by_id = {c.cell_id: c for c in cells}
         pending = deque(cells)
         retries: Dict[str, int] = {}
-        inflight: Dict[int, Optional[str]] = {}  # worker -> started cell
-        assigned: Dict[int, deque] = {}  # worker-unattributed dispatch order
-        dispatched: Dict[str, int] = {}  # cell_id -> times queued
-        completed: set = set()
-        procs: Dict[int, Any] = {}
-        readers: Dict[int, Any] = {}  # worker -> its message pipe
-        next_worker_id = 0
+        procs: Dict[int, Any] = {}  # every worker spawned, for the join
+        conns: Dict[int, Any] = {}  # live worker -> its pipe end
+        held: Dict[int, SweepCell] = {}  # live worker -> the cell it runs
 
         def spawn() -> None:
-            nonlocal next_worker_id
-            wid = next_worker_id
-            next_worker_id += 1
-            reader, writer = ctx.Pipe(duplex=False)
+            wid = len(procs)
+            conn, child_conn = ctx.Pipe()
             p = ctx.Process(
                 target=_worker_main,
-                args=(wid, self.out_dir, task_q, writer,
-                      self.context_cache_max),
+                args=(child_conn, self.out_dir, self.context_cache_max),
                 daemon=True,
             )
             p.start()
-            writer.close()
-            procs[wid] = p
-            readers[wid] = reader
-            inflight[wid] = None
+            child_conn.close()
+            procs[wid], conns[wid] = p, conn
             #: A worker that runs no cell still appears in the status.
             self._cache_stats[wid] = {"size": 0, "evictions": 0}
+            assign(wid)
 
-        def drain(wid: int) -> int:
-            """Handle every message waiting in ``wid``'s pipe.
-
-            A pipe at end-of-file belongs to a worker that exited; it is
-            closed, and the dead-worker check reconciles its cells.
-            """
-            reader, handled = readers[wid], 0
+        def assign(wid: int) -> None:
+            """Send ``wid`` its next cell, or ``None`` to retire it."""
+            cell = pending.popleft() if pending else None
             try:
-                while reader.poll():
-                    handle(reader.recv())
-                    handled += 1
-            except (EOFError, OSError):
-                reader.close()
-                del readers[wid]
-            return handled
+                conns[wid].send(None if cell is None else cell.to_dict())
+            except OSError:  # it died between cells: the cell never left
+                if cell is not None:
+                    pending.appendleft(cell)
+                bury(wid)
+                return
+            if cell is None:
+                conns.pop(wid).close()
+            else:
+                held[wid] = cell
 
-        def handle(msg: tuple) -> None:
-            kind = msg[0]
-            if kind == "started":
-                _, wid, cell_id = msg
-                inflight[wid] = cell_id
+        def bury(wid: int) -> None:
+            """Reconcile a dead worker's held cell; replace the worker.
+
+            An existing terminal ``cell.json`` means the cell finished
+            but the worker died before replying: artifacts are a pure
+            function of the cell, so the record on disk is final.
+            """
+            conns.pop(wid).close()
+            p = procs[wid]
+            p.join()  # only its exit closes its pipe end: already gone
+            cell = held.pop(wid, None)
+            if cell is not None:
+                status = self._cell_status_on_disk(cell.cell_id)
+                if status in ("ok", "error"):
+                    self._account(result, cell.cell_id, status)
+                else:
+                    requeue_or_fail(cell, f"exit code {p.exitcode}")
+            if pending:
+                spawn()
+
+        def requeue_or_fail(cell: SweepCell, reason: str) -> None:
+            """A worker died holding ``cell``: retry or mark it failed."""
+            cell_id = cell.cell_id
+            result.retries += 1
+            retries[cell_id] = retries.get(cell_id, 0) + 1
+            if retries[cell_id] <= self.max_retries:
+                pending.append(cell)
+                return
+            record = dict(
+                cell.to_dict(), cell_id=cell_id, status="failed", metrics={},
+                error=f"worker died while running this cell ({reason}); "
+                      f"gave up after {retries[cell_id]} attempt(s)",
+            )
+            cell_dir = os.path.join(self.out_dir, CELLS_DIRNAME, cell_id)
+            os.makedirs(cell_dir, exist_ok=True)
+            write_pretty_json(os.path.join(cell_dir, CELL_FILENAME), record)
+            self._account(result, cell_id, "failed")
+
+        for _ in range(min(self.workers, max(1, len(cells)))):
+            spawn()
+        while len(result.statuses) < len(cells):
+            ready = set(wait_readable(
+                list(conns.values()) + [procs[w].sentinel for w in conns]
+            ))
+            for wid, conn in [(w, c) for w, c in conns.items()
+                              if c in ready or procs[w].sentinel in ready]:
                 try:
-                    queued_not_started.remove(cell_id)
-                except ValueError:
-                    pass
-            elif kind == "done":
-                _, wid, cell_id, status, duration, size, evictions = msg
-                inflight[wid] = None
+                    reply = conn.recv() if conn.poll() else None
+                except (EOFError, OSError):
+                    reply = None
+                if reply is None:  # pipe at EOF or process gone
+                    bury(wid)
+                    continue
+                cell_id, status, duration, size, evictions = reply
+                del held[wid]
                 self._durations[cell_id] = duration
                 self._cache_stats[wid] = {
                     "size": size, "evictions": evictions,
                 }
-                if cell_id not in completed:
-                    self._account(result, cell_id, status)
-                    completed.add(cell_id)
+                self._account(result, cell_id, status)
+                assign(wid)
 
-        for _ in range(min(self.workers, max(1, len(cells)))):
-            spawn()
-
-        queued_not_started: deque = deque()
-
-        def feed() -> None:
-            while pending:
-                cell = pending[0]
-                try:
-                    task_q.put_nowait(cell.to_dict())
-                except queue_mod.Full:
-                    return
-                pending.popleft()
-                dispatched[cell.cell_id] = dispatched.get(cell.cell_id, 0) + 1
-                queued_not_started.append(cell.cell_id)
-
-        def requeue_or_fail(cell_id: str, reason: str) -> None:
-            """A worker died holding ``cell_id``: retry or mark failed."""
-            result.retries += 1
-            retries[cell_id] = retries.get(cell_id, 0) + 1
-            if retries[cell_id] <= self.max_retries:
-                pending.append(by_id[cell_id])
-            else:
-                record = dict(
-                    by_id[cell_id].to_dict(), cell_id=cell_id,
-                    status="failed", metrics={},
-                    error=f"worker died while running this cell ({reason}); "
-                          f"gave up after {retries[cell_id]} attempt(s)",
-                )
-                cell_dir = os.path.join(
-                    self.out_dir, CELLS_DIRNAME, cell_id
-                )
-                os.makedirs(cell_dir, exist_ok=True)
-                write_pretty_json(os.path.join(cell_dir, CELL_FILENAME),
-                                  record)
-                self._account(result, cell_id, "failed")
-                completed.add(cell_id)
-
-        while len(completed) < len(by_id):
-            feed()
-            wait_readable(list(readers.values()), timeout=_POLL_S)
-            if sum(drain(wid) for wid in list(readers)):
-                continue
-
-            # No message this poll: check for dead workers.  The marker
-            # file is the authoritative record of what a dead worker
-            # held: it is written before the "started" message is sent.
-            # Both the marker cell AND the last cell the supervisor saw
-            # "started" need reconciling.  An existing terminal
-            # cell.json means the cell finished but the worker died
-            # before sending its "done": artifacts are a pure function
-            # of the cell, so the record on disk is final.
-            dead = [wid for wid, p in procs.items() if not p.is_alive()]
-            for wid in dead:
-                p = procs.pop(wid)
-                if wid in readers:
-                    drain(wid)  # what it sent before exiting
-                candidates = dict.fromkeys(
-                    [inflight.pop(wid, None), self._read_marker(wid)]
-                )
-                for held in candidates:
-                    if held is None or held in completed:
-                        continue
-                    try:
-                        queued_not_started.remove(held)
-                    except ValueError:
-                        pass
-                    status = self._cell_status_on_disk(held)
-                    if status in ("ok", "error"):
-                        self._account(result, held, status)
-                        completed.add(held)
-                    else:
-                        requeue_or_fail(held, f"exit code {p.exitcode}")
-                if len(completed) < len(by_id):
-                    spawn()
-            # Reconciliation for the narrow race where a worker died
-            # between dequeuing a task and announcing "started": if no
-            # workers hold anything, nothing is queued or pending, yet
-            # cells remain, those dispatched cells were lost.
-            if (
-                not dead
-                and not pending
-                and all(v is None for v in inflight.values())
-                and task_q.empty()
-                and len(completed) < len(by_id)
-            ):
-                for cell_id in list(queued_not_started):
-                    if cell_id not in completed:
-                        queued_not_started.remove(cell_id)
-                        requeue_or_fail(cell_id, "lost before start")
-
-        # Shut the pool down.
-        for _ in procs:
-            try:
-                task_q.put_nowait(None)
-            except queue_mod.Full:
-                break
+        # Every live worker has been sent None: let the pool exit.
         deadline = time.monotonic() + 5.0
         for p in procs.values():
             p.join(timeout=max(0.1, deadline - time.monotonic()))
             if p.is_alive():
                 p.terminate()
-        for reader in readers.values():
-            reader.close()
         return result
 
     # -- bookkeeping -----------------------------------------------------
-
-    def _read_marker(self, worker_id: int) -> Optional[str]:
-        """The cell id a (dead) worker recorded as in-flight, if any."""
-        try:
-            with open(_marker_path(self.out_dir, worker_id), "r",
-                      encoding="utf-8") as fh:
-                return fh.read().strip() or None
-        except OSError:
-            return None
 
     def _cell_status_on_disk(self, cell_id: str) -> Optional[str]:
         """The terminal status already in ``cells/<id>/cell.json``, if any."""

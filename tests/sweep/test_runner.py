@@ -1,6 +1,7 @@
 """Tests for the sweep execution engine (serial and pooled paths)."""
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -268,10 +269,11 @@ class TestPoolRun:
         grid = SweepGrid("t", ["crash"], seeds=[1])
         result = SweepRunner(grid, out, workers=2, max_retries=1).run()
         assert result.failed == 1
-        assert result.retries >= 1
+        assert result.retries == 2
         (record,) = load_summary(out)
         assert record["status"] == "failed"
         assert "worker died" in record["error"]
+        assert "gave up after 2 attempt(s)" in record["error"]
 
     def test_crash_does_not_poison_other_cells(self, tmp_path):
         out = str(tmp_path / "out")
@@ -292,6 +294,55 @@ class TestPoolRun:
             if cell_id.startswith("smoke")
         )
         assert statuses["crash-s1-base"] == "failed"
+
+    def test_crash_under_spawn(self, tmp_path):
+        """A spawned worker gets its pipe end pickled, not inherited."""
+        out = str(tmp_path / "out")
+        smoke = _smoke_grid(3).cells()
+        crash = SweepGrid("t", ["crash"], seeds=[1]).cells()
+
+        class Mixed(SweepGrid):
+            def cells(self):
+                return smoke + crash
+
+        result = SweepRunner(Mixed("t", ["smoke"]), out, workers=2,
+                             max_retries=1, start_method="spawn").run()
+        statuses = {r["cell_id"]: r["status"] for r in load_summary(out)}
+        assert result.ok == 3 and result.failed == 1
+        assert result.retries == 2
+        assert statuses.pop("crash-s1-base") == "failed"
+        assert set(statuses.values()) == {"ok"}
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched run_cell reaches workers only by fork",
+    )
+    def test_death_after_cell_written_counts_record_on_disk(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that dies after writing ``cell.json`` but before
+        replying has finished its cell: no retry, the record stands."""
+        from repro.sweep import runner
+
+        real_run_cell = runner.run_cell
+
+        def run_then_die(cell, ctx, out_dir):
+            real_run_cell(cell, ctx, out_dir)
+            os._exit(3)
+
+        monkeypatch.setattr(runner, "run_cell", run_then_die)
+        out = str(tmp_path / "out")
+        result = SweepRunner(_smoke_grid(3), out, workers=2,
+                             start_method="fork").run()
+        assert result.ok == 3 and result.retries == 0
+        assert {r["status"] for r in load_summary(out)} == {"ok"}
+
+    def test_pool_leaves_no_worker_markers(self, tmp_path):
+        """The supervisor's pipes are its only record of who holds what."""
+        out = str(tmp_path / "out")
+        result = SweepRunner(_smoke_grid(), out, workers=2).run()
+        assert result.success
+        assert not os.path.exists(os.path.join(out, ".workers"))
 
     def test_in_worker_exception_not_retried(self, tmp_path):
         out = str(tmp_path / "out")
