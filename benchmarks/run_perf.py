@@ -16,7 +16,7 @@ neighbour load cancels out of it:
   ``udp_train_reference`` — must be >= 5x;
 * the coordinator service under a 1000-client loadgen: the batched
   binary path (REPORT_BATCH frames + range ACKs + WAL group commit)
-  must sustain >= 3x the unbatched one (one JSON REPORT per frame),
+  must sustain >= 3x the unbatched one (one JSON report per frame),
   with no report dropped;
 * the measurement store: the rollup-table replay query over 100k
   synthetic reports must be >= 2x faster than a full JSONL refold of
@@ -334,10 +334,11 @@ def bench_serve():
     """Batched vs unbatched loadgen throughput against one service shape.
 
     Runs 1000 client sessions over loopback TCP against an in-process,
-    WAL-backed :class:`CoordinatorServer`, twice: one JSON REPORT per
-    frame with one ACK each (5 reports per client), and the batched
-    binary path (clients coalescing ``SERVE_BATCH_SIZE`` reports per
-    REPORT_BATCH frame, range ACKs, WAL group commit).  The gate is the
+    WAL-backed :class:`CoordinatorServer`, twice: one JSON report per
+    REPORT_BATCH frame with one ACK_BATCH each (5 reports per client),
+    and the batched binary path (clients coalescing
+    ``SERVE_BATCH_SIZE`` reports per frame, range ACKs, WAL group
+    commit).  The gate is the
     batched path sustaining >= 3x the unbatched rate, with no report
     dropped on either.  The two rates are this ratio's inputs; the
     service's guarded rates come from the benchmark of record.

@@ -124,7 +124,7 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
         help="session codec to negotiate (json is the PR-5 wire format)"),
     arg("--batch-size", type=int, default=1,
         help="reports coalesced per REPORT_BATCH frame "
-             "(1 keeps the one-REPORT-one-ACK exchange)"),
+             "(1 sends one frame per report)"),
     arg("--format", choices=("text", "json"), default="text"),
     arg("--cluster", action="store_true",
         help="treat --host/--port as a cluster gateway: fetch the shard map "

@@ -10,8 +10,8 @@ back, push the report, and retry on RETRY until the server ACKs.
 The driver is strictly half-duplex by construction (one outstanding
 request per session), so the next frame after a POLL is always a TASK
 or PONG and no client-side demultiplexing is needed.  Every report send
-goes through :meth:`ServeSession.send_report_batch`, which frames one
-report as REPORT and more as one REPORT_BATCH.  A batch is the one
+goes through :meth:`ServeSession.send_report_batch`, which frames its
+reports, however many, as one REPORT_BATCH.  A report frame is the one
 place two frames can answer one request — a RETRY for the rejected
 tail may precede the range ACK_BATCH for the admitted prefix — so the
 send keeps reading until every report it carries is settled.
@@ -19,8 +19,8 @@ send keeps reading until every report it carries is settled.
 Batching and codec are both opt-in: ``ServeSession(codecs=...)``
 offers a codec preference list in HELLO and adopts whatever WELCOME
 names; ``ServedClient(batch_size=N)`` coalesces up to N reports per
-send.  The defaults (no codecs key, batch size 1) speak the original
-JSON one-REPORT-one-ACK exchange byte-for-byte.
+send.  The defaults (no codecs key, batch size 1) send one JSON
+REPORT_BATCH per report.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ class DriverStats:
     reports_acked: int = 0
     reports_rejected: int = 0
     retries: int = 0
-    batches_sent: int = 0
-    #: Client-observed REPORT->ACK round-trip times (seconds).
+    #: Client-observed send-to-settled round-trip times (seconds).
     ack_latencies_s: List[float] = field(default_factory=list)
 
 
@@ -106,8 +105,7 @@ class ServeSession:
         self.networks = networks
         self.max_frame_bytes = max_frame_bytes
         #: Codec preference list offered in HELLO.  ``None`` omits the
-        #: key entirely — the PR-5 handshake, which a server answers
-        #: with plain JSON.
+        #: key entirely, which a server answers with plain JSON.
         self.codecs = list(codecs) if codecs is not None else None
         #: The negotiated session codec; JSON until WELCOME says
         #: otherwise (HELLO/WELCOME themselves are always JSON).
@@ -175,7 +173,7 @@ class ServeSession:
         report_wire: Dict[str, Any],
         max_retries: int = 64,
     ) -> Dict[str, Any]:
-        """Push one report (a REPORT frame) until it is ACKed.
+        """Push one report (a REPORT_BATCH of one) until it is ACKed.
 
         Returns the :meth:`send_report_batch` summary, so ``accepted``
         is 1 or 0.  Raises :class:`Redirected` when the server answered
@@ -194,39 +192,34 @@ class ServeSession:
     ) -> Dict[str, Any]:
         """Push reports in one frame, resending until all settle.
 
-        The one place client code frames reports: exactly one report
-        goes out as REPORT, more as one REPORT_BATCH, and the resent
-        RETRY tail follows the same rule.  Each reply settles a slice of
-        the frame — all of a REPORT, ``seq_lo..seq_hi`` of a batch — as
-        admitted (ACK / ACK_BATCH, possibly validator-rejected),
-        backpressured (RETRY: resent after ``retry_after_s``) or
-        redirected (REDIRECT: a shard that does not own the frame's
-        zones; nothing was processed).  Returns a summary dict with
-        ``accepted`` / ``rejected`` report counts, ``_retries`` and
-        ``_batches`` (REPORT_BATCH frames sent); redirected payloads
+        The one place client code frames reports: every send, and every
+        resent RETRY tail, is one REPORT_BATCH, so a send puts exactly
+        ``_retries + 1`` frames on the wire.  Each reply settles the
+        ``seq_lo..seq_hi`` slice of the frame it names as admitted
+        (ACK_BATCH, possibly validator-rejected), backpressured (RETRY:
+        resent after ``retry_after_s``) or redirected (REDIRECT: a
+        shard that does not own the frame's zones; nothing was
+        processed).  Returns a summary dict with ``accepted`` /
+        ``rejected`` report counts and ``_retries``; redirected payloads
         come back under ``"redirected"`` (with the REDIRECT frame under
         ``"redirect"``) for the caller to re-route — they are NOT resent
         here, because this session points at the wrong shard by
         definition.  Raises :class:`WireError` when the retry budget
-        runs out or the server errors the session.
+        runs out or the server errors the session, and
+        :class:`ProtocolError` for a reply that does not name an
+        unsettled slice of the frame.
         """
         if not reports_wire:
             raise ValueError("empty report batch")
         pending = list(reports_wire)
-        retries = accepted = rejected = batches = 0
+        retries = accepted = rejected = 0
         redirected: List[Dict[str, Any]] = []
         redirect_frame: Optional[Dict[str, Any]] = None
         while pending:
-            if len(pending) == 1:
-                seq_lo = None
-                frame = {"type": "REPORT", "report": pending[0]}
-            else:
-                seq_lo = self._batch_seq
-                self._batch_seq += len(pending)
-                batches += 1
-                frame = {"type": "REPORT_BATCH", "seq_lo": seq_lo,
-                         "reports": pending}
-            await self._send_frame(frame)
+            seq_lo = self._batch_seq
+            self._batch_seq += len(pending)
+            await self._send_frame({"type": "REPORT_BATCH", "seq_lo": seq_lo,
+                                    "reports": pending})
             #: Indices into ``pending`` not yet settled by a reply.
             outstanding = set(range(len(pending)))
             resend: List[Dict[str, Any]] = []
@@ -239,15 +232,23 @@ class ServeSession:
                         f"server error: {reply.get('code')}: "
                         f"{reply.get('detail')}"
                     )
-                if kind not in ("ACK", "ACK_BATCH", "RETRY", "REDIRECT"):
+                if kind not in ("ACK_BATCH", "RETRY", "REDIRECT"):
                     raise ProtocolError(
-                        f"expected ACK/ACK_BATCH/RETRY/REDIRECT, got {kind!r}"
+                        f"expected ACK_BATCH/RETRY/REDIRECT, got {kind!r}"
                     )
-                if seq_lo is None:
-                    lo, hi = 0, 1
-                else:
+                try:
                     lo = int(reply["seq_lo"]) - seq_lo
                     hi = int(reply["seq_hi"]) - seq_lo + 1
+                except (KeyError, TypeError, ValueError):
+                    raise ProtocolError(
+                        f"{kind} without an integer seq_lo..seq_hi"
+                    ) from None
+                if lo >= hi or not outstanding.issuperset(range(lo, hi)):
+                    raise ProtocolError(
+                        f"{kind} names {reply['seq_lo']}..{reply['seq_hi']}, "
+                        f"not an unsettled part of frame {seq_lo}.."
+                        f"{seq_lo + len(pending) - 1}"
+                    )
                 outstanding.difference_update(range(lo, hi))
                 if kind == "RETRY":
                     resend.extend(pending[lo:hi])
@@ -258,7 +259,6 @@ class ServeSession:
                     redirected.extend(pending[lo:hi])
                     redirect_frame = reply
                 else:
-                    #: ACK's ``accepted`` is a bool, ACK_BATCH's a count.
                     n_accepted = int(reply.get("accepted", 0))
                     accepted += n_accepted
                     rejected += (hi - lo) - n_accepted
@@ -275,7 +275,6 @@ class ServeSession:
             "accepted": accepted,
             "rejected": rejected,
             "_retries": retries,
-            "_batches": batches,
         }
         if redirected:
             summary["redirected"] = redirected
@@ -320,7 +319,7 @@ class ServedClient:
     Completed reports accumulate in a client-side buffer and go out in
     one send when it holds ``batch_size`` (and at session end, so
     nothing is ever left behind): at the default of 1 that is one
-    REPORT per report.  ``codecs`` is the HELLO codec preference list
+    REPORT_BATCH per report.  ``codecs`` is the HELLO codec preference list
     (``None`` — the default — negotiates nothing and speaks plain JSON).
     A REDIRECT raises :class:`Redirected`: this client does not
     re-route.
@@ -371,7 +370,6 @@ class ServedClient:
         summary = await self.session.send_report_batch(batch)
         latency = loop_time() - sent_at
         self.stats.ack_latencies_s.extend([latency] * len(batch))
-        self.stats.batches_sent += summary["_batches"]
         self.stats.retries += summary["_retries"]
         self.stats.reports_acked += summary["accepted"]
         self.stats.reports_rejected += summary["rejected"]

@@ -5,7 +5,7 @@ the report data path: clients HELLO in, receive the current
 :class:`~repro.serve.shardmap.ShardMap` in WELCOME, and from then on
 talk to shards *directly* — the Redis-Cluster model, which is what lets
 3 shards sustain ~3x one shard's throughput instead of funneling every
-byte through one proxy process.  A client that sends POLL/REPORT/
+byte through one proxy process.  A client that sends POLL or
 REPORT_BATCH to the gateway anyway (bootstrapping, or running with a
 stale map) gets a typed REDIRECT naming the owning shard and carrying
 the fresh map; a STATS request fans out to every live shard and returns
@@ -181,11 +181,11 @@ class GatewayServer:
             if kind == "POLL":
                 self._steer(writer, position(message, "POLL"),
                             {"seq": message.get("seq")})
-            elif kind == "REPORT" or kind == "REPORT_BATCH":
+            elif kind == "REPORT_BATCH":
                 #: A whole batch goes to its first report's owner.
                 payloads, seq_lo = report_payloads(message)
-                self._steer(writer, position(payloads[0], "REPORT"),
-                            reply_ids(payloads, seq_lo))
+                self._steer(writer, position(payloads[0], "report"),
+                            reply_ids(len(payloads), seq_lo))
             elif kind == "STATS":
                 await self._on_stats(writer)
             elif kind == "PING":

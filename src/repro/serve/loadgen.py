@@ -60,9 +60,9 @@ class LoadgenConfig:
     #: Delay before every retry round.
     reconnect_delay_s: float = 0.2
     #: Session codec to negotiate ("json" or "binary").  "json" offers
-    #: nothing in HELLO — the PR-5 handshake, byte-for-byte.
+    #: nothing in HELLO, and the server answers with plain JSON.
     codec: str = "json"
-    #: Reports per send: one goes out as REPORT, more as REPORT_BATCH.
+    #: Reports per send, each send one REPORT_BATCH.
     batch_size: int = 1
     #: Cluster mode: ``host``/``port`` point at the *gateway*; clients
     #: fetch the shard map from its WELCOME, open sessions to the

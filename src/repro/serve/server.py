@@ -6,13 +6,14 @@ protocol in :mod:`repro.serve.wire`: opportunistic clients HELLO in,
 poll for measurement tasks, and push completed reports; the server
 stages every admitted report in the write-ahead log
 (:mod:`repro.serve.wal`) before folding it into the coordinator, then
-ACKs with the WAL sequence number.
+answers each report frame with one ACK_BATCH naming its WAL sequence
+range.
 
 Session state machine (per connection)::
 
     connect --HELLO--> open --BYE/EOF/error/idle-timeout--> closed
                         |^
-              POLL/PING/REPORT/STATS (any order, any number)
+           POLL/PING/REPORT_BATCH/STATS (any order, any number)
 
 * **Admission control** — at most ``max_sessions`` concurrent sessions;
   the overflow connection gets ``ERROR(code="server-full")`` (carrying
@@ -21,10 +22,11 @@ Session state machine (per connection)::
   a single writer task (WAL order == ingest order == ACK order).  When
   the queue is full the report is *not* queued and the client receives
   ``RETRY`` with ``retry_after_s``; a well-behaved client resends.  The
-  bound counts *reports*, not frames, so a REPORT_BATCH is admitted up
-  to the remaining budget: the admitted prefix is staged and later
-  range-ACKed (``ACK_BATCH seq_lo..seq_hi``), the rejected tail gets
-  one ``RETRY`` naming its ``seq_lo..seq_hi`` — partial rejection, not
+  bound counts *reports*, not frames, so a REPORT_BATCH (every report
+  frame, a batch of one included) is admitted up to the remaining
+  budget: the admitted prefix is staged and later range-ACKed
+  (``ACK_BATCH seq_lo..seq_hi``), the rejected tail gets one ``RETRY``
+  naming its ``seq_lo..seq_hi`` — partial rejection, not
   all-or-nothing.
 * **Group commit** — the writer task drains the ingest queue greedily
   (up to ``commit_batch_max`` reports per round) and stages the whole
@@ -36,7 +38,7 @@ Session state machine (per connection)::
   preference order); the server picks the first one it speaks and
   names it in WELCOME.  HELLO/WELCOME are always canonical JSON; every
   later frame in the session uses the negotiated codec.  A client that
-  offers nothing gets ``json`` — the PR-5 wire format, byte-for-byte.
+  offers nothing gets ``json``.
 * **Heartbeats / idle timeout** — any frame resets the idle clock;
   ``PING`` exists so an idle-but-alive client can stay connected.  A
   session silent for ``idle_timeout_s`` gets ``ERROR(code="idle-
@@ -47,14 +49,14 @@ Session state machine (per connection)::
   :class:`~repro.serve.wire.WireError` code, then the session closes.
 * **Shard mode** — when the server is given a ``shard_id`` and a
   :class:`~repro.serve.shardmap.ShardMap` (pushed by the cluster
-  supervisor via MAP_UPDATE), it answers POLL/REPORT/REPORT_BATCH for
+  supervisor via MAP_UPDATE), it answers POLL and REPORT_BATCH for
   zones it does not own with a typed REDIRECT naming the owning shard
   (and carrying the current map, so a stale client learns the new
   assignment in the same frame).  A redirected frame is **never**
   admitted — ownership is checked before the WAL sees anything, so
   each shard's WAL stays a pure function of the reports it owns.
-  Without a shard id the server is the PR-6 single node, byte-for-byte
-  (see DESIGN.md §11).
+  Without a shard id the server checks no ownership and sends no
+  REDIRECT (see DESIGN.md §11).
 
 Separation of registries: the coordinator keeps its own metrics
 registry (a deterministic function of the ingested report stream — the
@@ -145,7 +147,7 @@ class ServeConfig:
     codecs: Tuple[str, ...] = SUPPORTED_CODECS
     #: This server's shard identity within a cluster.  Empty (the
     #: default) means single-node mode: no ownership checks, no
-    #: REDIRECTs — the PR-6 behavior byte-for-byte.
+    #: REDIRECTs.
     shard_id: str = ""
 
 
@@ -407,8 +409,8 @@ class CoordinatorServer:
             return None
         client_id = check_hello(hello)
         #: Codec negotiation: first client-offered codec the server
-        #: speaks wins; a HELLO without "codecs" (every PR-5 client)
-        #: stays on canonical JSON.
+        #: speaks wins; a HELLO without "codecs" stays on canonical
+        #: JSON.
         offered = hello.get("codecs")
         codec = CODEC_JSON
         if isinstance(offered, list):
@@ -458,7 +460,7 @@ class CoordinatorServer:
                 return  # peer closed between frames
             self.metrics.counter("serve.frames_rx").inc()
             kind = message["type"]
-            if kind == "REPORT" or kind == "REPORT_BATCH":
+            if kind == "REPORT_BATCH":
                 self._admit(session, *report_payloads(message))
             elif kind == "POLL":
                 self._on_poll(session, message)
@@ -518,15 +520,15 @@ class CoordinatorServer:
                    session.codec)
 
     def _admit(self, session: _Session, payloads: List[Dict[str, Any]],
-               seq_lo: Optional[int]) -> None:
+               seq_lo: int) -> None:
         """Admit reports up to the report-level budget.
 
         Every report is parsed eagerly, so a malformed one is a typed
         session error before anything from the frame is admitted; the
         parsed reports ride the queue so the writer never re-parses.
         The admitted prefix becomes one queue item (the writer will
-        group-commit it and answer with one ACK or ACK_BATCH); the tail
-        that does not fit gets one RETRY naming it — the client resends
+        group-commit it and answer with one ACK_BATCH); the tail that
+        does not fit gets one RETRY naming it — the client resends
         exactly those.
         """
         parsed = [report_from_wire(payload) for payload in payloads]
@@ -539,16 +541,15 @@ class CoordinatorServer:
             for report in parsed:
                 redirect = self._redirect_for_zone(zone_of(report.point))
                 if redirect is not None:
-                    redirect.update(reply_ids(payloads, seq_lo))
+                    redirect.update(reply_ids(len(payloads), seq_lo))
                     self.metrics.counter("serve.redirects").inc()
                     self._send(session.writer, redirect, session.codec)
                     return
         self.metrics.counter("serve.reports_received").inc(len(payloads))
-        if seq_lo is not None:
-            self.metrics.counter("serve.report_batches").inc()
-            self.metrics.histogram("serve.report_batch_size").observe(
-                len(payloads)
-            )
+        self.metrics.counter("serve.report_batches").inc()
+        self.metrics.histogram("serve.report_batch_size").observe(
+            len(payloads)
+        )
         budget = self.config.ingest_queue_max - self._ingest_pending
         admitted = min(len(payloads), max(0, budget))
         if admitted > 0:
@@ -568,7 +569,7 @@ class CoordinatorServer:
             self._send(session.writer, {
                 "type": "RETRY",
                 "retry_after_s": self.config.retry_after_s,
-                **reply_ids(payloads, seq_lo, admitted),
+                **reply_ids(len(payloads), seq_lo, admitted),
             }, session.codec)
 
     def _on_poll(self, session: _Session, message: Dict[str, Any]) -> None:
@@ -731,15 +732,11 @@ class CoordinatorServer:
         payloads: List[Dict[str, Any]],
         reports: List[Any],
         wal_seqs: List[Optional[int]],
-        seq_lo: Optional[int],
+        seq_lo: int,
         session_id: int,
         received_at: float,
     ) -> None:
-        """Fold one queue item into the coordinator and answer its ACK.
-
-        The reply frame is the one the request calls for: ACK for a
-        single REPORT (``seq_lo`` None), ACK_BATCH for a REPORT_BATCH.
-        """
+        """Fold one queue item into the coordinator; answer its ACK_BATCH."""
         accepted_flags = []
         for report in reports:
             accepted = self.coordinator.ingest(report)
@@ -752,26 +749,17 @@ class CoordinatorServer:
         if session is None:
             return
         session.reports += len(payloads)
-        if seq_lo is None:
-            ack: Dict[str, Any] = {
-                "type": "ACK",
-                "task_id": payloads[0].get("task_id"),
-                "seq": wal_seqs[0],
-                "accepted": accepted_flags[0],
-            }
-        else:
-            ack = {
-                "type": "ACK_BATCH",
-                "seq_lo": seq_lo,
-                "seq_hi": seq_lo + len(payloads) - 1,
-                "wal_seq_lo": wal_seqs[0],
-                "wal_seq_hi": wal_seqs[-1],
-                "accepted": sum(1 for a in accepted_flags if a),
-                "rejected_seqs": [
-                    seq_lo + i for i, a in enumerate(accepted_flags)
-                    if not a
-                ],
-            }
+        ack = {
+            "type": "ACK_BATCH",
+            "seq_lo": seq_lo,
+            "seq_hi": seq_lo + len(payloads) - 1,
+            "wal_seq_lo": wal_seqs[0],
+            "wal_seq_hi": wal_seqs[-1],
+            "accepted": sum(1 for a in accepted_flags if a),
+            "rejected_seqs": [
+                seq_lo + i for i, a in enumerate(accepted_flags) if not a
+            ],
+        }
         try:
             self._send(session.writer, ack, session.codec)
             self.metrics.counter("serve.reports_acked").inc(len(payloads))

@@ -36,10 +36,8 @@ HELLO         client -> server        open a session (protocol ``v``, codecs)
 WELCOME       server -> client        session accepted (id, limits, codec)
 POLL          client -> server        position beacon asking for work
 TASK          server -> client        a ``MeasurementTask`` to execute
-REPORT        client -> server        a completed ``MeasurementReport``
-REPORT_BATCH  client -> server        many reports, client seqs lo..lo+n-1
-ACK           server -> client        report durably staged (WAL sequence)
-ACK_BATCH     server -> client        range-ACK for a staged batch
+REPORT_BATCH  client -> server        n >= 1 reports, client seqs lo..lo+n-1
+ACK_BATCH     server -> client        range-ACK for a durably staged prefix
 RETRY         server -> client        ingest saturated; retry after a delay
 PING/PONG     both                    heartbeat / "no task for you"
 STATS         client -> server        ask for the server's metric snapshots
@@ -50,9 +48,11 @@ ERROR         server -> client        typed protocol error; session closes
 BYE           both                    orderly close
 ============  ======================  =====================================
 
-The three cluster frames (REDIRECT / MAP_UPDATE / MAP_ACK) are
-additive: protocol version 1 is unchanged, and a single-node server
-never emits them (see DESIGN.md §11 for the cluster state machine).
+Every report send is one REPORT_BATCH, a batch of one included, and
+its admitted prefix is answered by one ACK_BATCH; RETRY and REDIRECT
+name the ``seq_lo..seq_hi`` range they settle.  A single-node server
+never emits the three cluster frames (REDIRECT / MAP_UPDATE / MAP_ACK;
+see DESIGN.md §11 for the cluster state machine).
 
 Malformed input never tracebacks a session: decoding raises one of the
 typed :class:`WireError` subclasses below, which the session layer maps
@@ -107,8 +107,10 @@ __all__ = [
 
 #: Protocol version spoken by this build.  A HELLO carrying any other
 #: version is answered with an ERROR(code="version-mismatch") and the
-#: session is closed — there is exactly one version in the wild so far.
-PROTOCOL_VERSION = 1
+#: session is closed.  Version 2 dropped the one-report REPORT/ACK pair
+#: of version 1, so a version-1 client is refused at HELLO rather than
+#: mid-session.
+PROTOCOL_VERSION = 2
 
 #: Hard ceiling on a frame's payload size.  A length prefix above this
 #: is treated as a protocol violation (corrupt stream or hostile peer),
@@ -128,10 +130,9 @@ SUPPORTED_CODECS = (CODEC_JSON, CODEC_BINARY)
 #: Every frame type either end may legitimately send.
 FRAME_TYPES = frozenset(
     {
-        "HELLO", "WELCOME", "POLL", "TASK", "REPORT", "REPORT_BATCH",
-        "ACK", "ACK_BATCH", "RETRY", "PING", "PONG", "STATS",
-        "STATS_REPLY", "REDIRECT", "MAP_UPDATE", "MAP_ACK", "ERROR",
-        "BYE",
+        "HELLO", "WELCOME", "POLL", "TASK", "REPORT_BATCH", "ACK_BATCH",
+        "RETRY", "PING", "PONG", "STATS", "STATS_REPLY", "REDIRECT",
+        "MAP_UPDATE", "MAP_ACK", "ERROR", "BYE",
     }
 )
 
@@ -276,19 +277,13 @@ def check_hello(hello: Dict[str, Any]) -> str:
 
 def report_payloads(
     message: Dict[str, Any],
-) -> Tuple[List[Dict[str, Any]], Optional[int]]:
-    """``(payloads, seq_lo)`` of a REPORT or REPORT_BATCH frame.
+) -> Tuple[List[Dict[str, Any]], int]:
+    """``(payloads, seq_lo)`` of a REPORT_BATCH frame.
 
-    A REPORT is a batch of one whose ``seq_lo`` is None.  Raises
-    :class:`ProtocolError` for a REPORT without a report object, a
-    REPORT_BATCH without a non-empty reports list or an integer
-    ``seq_lo``, and a batch carrying a non-object report.
+    Raises :class:`ProtocolError` for a frame without a non-empty
+    reports list or an integer ``seq_lo``, and for a batch carrying a
+    non-object report.
     """
-    if message.get("type") == "REPORT":
-        payload = message.get("report")
-        if not isinstance(payload, dict):
-            raise ProtocolError("REPORT without a report object")
-        return [payload], None
     reports = message.get("reports")
     if not isinstance(reports, list) or not reports:
         raise ProtocolError("REPORT_BATCH without a reports list")
@@ -301,16 +296,9 @@ def report_payloads(
     return reports, seq_lo
 
 
-def reply_ids(payloads: List[Dict[str, Any]], seq_lo: Optional[int],
-              offset: int = 0) -> Dict[str, Any]:
-    """The fields naming ``payloads[offset:]`` in a reply frame.
-
-    A single REPORT (``seq_lo`` None) is named by its ``task_id``; a
-    REPORT_BATCH by the ``seq_lo..seq_hi`` range.
-    """
-    if seq_lo is None:
-        return {"task_id": payloads[offset].get("task_id")}
-    return {"seq_lo": seq_lo + offset, "seq_hi": seq_lo + len(payloads) - 1}
+def reply_ids(n_reports: int, seq_lo: int, offset: int = 0) -> Dict[str, int]:
+    """The ``seq_lo..seq_hi`` range naming reports ``offset:`` of a frame."""
+    return {"seq_lo": seq_lo + offset, "seq_hi": seq_lo + n_reports - 1}
 
 
 def position(obj: Dict[str, Any], what: str) -> Tuple[float, float]:

@@ -17,7 +17,7 @@ from repro.serve.server import (
     ServeConfig,
     replay_wal,
 )
-from repro.serve.wal import iter_wal_records
+from repro.serve.wal import iter_wal_records, wal_segments
 from repro.serve.wire import (
     CODEC_BINARY,
     CODEC_JSON,
@@ -125,7 +125,6 @@ class TestBatchIngest:
                 assert ack["accepted"] == 10
                 assert ack["rejected"] == 0
                 assert ack["_retries"] == 0
-                assert ack["_batches"] == 1
             assert server.metrics.counter(
                 "serve.report_batches").value == 1
             assert server.metrics.counter(
@@ -313,6 +312,62 @@ class TestReplayIdentityAcrossCodecs:
                 for r in iter_wal_records(wal_bin)
             )
             assert lines_json == lines_bin
+
+
+class TestOneReportSends:
+    """A one-report send is a REPORT_BATCH of one on either codec."""
+
+    def send_one(self, wal_dir, codec):
+        """One ``send_report`` over a ``codec`` session.
+
+        Returns the frame bytes the send wrote and the server's
+        ``serve.report_batches`` count.
+        """
+        sent = []
+
+        async def scenario(server):
+            async with ServeSession(
+                "127.0.0.1", server.port, client_id="load-00000",
+                networks=["NetA"], codecs=[codec],
+            ) as session:
+                assert session.codec == codec
+                write = session._writer.write
+
+                def recording(data):
+                    sent.append(bytes(data))
+                    write(data)
+
+                session._writer.write = recording
+                summary = await session.send_report(synthetic_report(0, 0))
+                session._writer.write = write
+            assert (summary["accepted"], summary["rejected"],
+                    summary["_retries"]) == (1, 0, 0)
+            return server.metrics.counter_value("serve.report_batches")
+
+        batches = serve_scenario(scenario, wal_dir=wal_dir)
+        assert len(sent) == 1
+        return sent[0], batches
+
+    def test_binary_one_report_send_is_struct_packed(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            frame, batches = self.send_one(os.path.join(tmp, "wal"),
+                                           CODEC_BINARY)
+        #: Payload tag 0x01: the packed REPORT_BATCH, not the JSON hatch.
+        assert frame[4] == 0x01
+        assert batches == 1
+
+    def test_one_report_wal_bytes_equal_across_codecs(self):
+        segments = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            for codec in (CODEC_JSON, CODEC_BINARY):
+                wal_dir = os.path.join(tmp, codec)
+                frame, _ = self.send_one(wal_dir, codec)
+                segments[codec] = [open(path, "rb").read()
+                                   for path in wal_segments(wal_dir)]
+                if codec == CODEC_JSON:
+                    assert json.loads(frame[4:])["type"] == "REPORT_BATCH"
+        assert len(segments[CODEC_JSON]) == 1
+        assert segments[CODEC_JSON] == segments[CODEC_BINARY]
 
 
 class TestLoadgenBatchKnobs:

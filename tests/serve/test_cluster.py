@@ -108,7 +108,7 @@ class TestShardModeRedirect:
                     await session.send_report(payload)
             frame = exc.value.frame
             assert frame["type"] == "REDIRECT"
-            assert frame["task_id"] == payload["task_id"]
+            assert (frame["seq_lo"], frame["seq_hi"]) == (0, 0)
             assert frame["shard_id"] == "shard-1"
             assert frame["port"] == 2
             assert frame["map_version"] == smap.version
@@ -120,8 +120,8 @@ class TestShardModeRedirect:
         shard_scenario(scenario, shard_map=smap)
 
     def test_one_report_redirect_is_returned_or_raised(self):
-        """A one-report send is a REPORT frame either way; the batch
-        call hands the REDIRECT back, the single call raises it."""
+        """A one-report send is a REPORT_BATCH of one either way; the
+        batch call hands the REDIRECT back, the single call raises it."""
         smap = two_shard_map()
         payload = report_at(*position_owned_by(smap, "shard-1"))
 
@@ -133,11 +133,15 @@ class TestShardModeRedirect:
                 with pytest.raises(Redirected) as exc:
                     await session.send_report(payload)
             assert summary["redirected"] == [payload]
-            assert summary["redirect"]["task_id"] == payload["task_id"]
+            assert summary["redirect"]["seq_lo"] == 0
+            assert summary["redirect"]["seq_hi"] == 0
             assert (summary["accepted"], summary["rejected"]) == (0, 0)
-            assert summary["_batches"] == 0
-            assert exc.value.frame == summary["redirect"]
+            assert summary["_retries"] == 0
+            #: Each call's frame names its own report: seq 0, then seq 1.
+            assert exc.value.frame == {**summary["redirect"],
+                                       "seq_lo": 1, "seq_hi": 1}
             assert server.metrics.counter_value("serve.redirects") == 2
+            #: A redirected frame is never received, so never counted.
             assert server.metrics.counter_value("serve.report_batches") == 0
             assert server.coordinator.stats.reports_ingested == 0
 
@@ -490,7 +494,7 @@ class TestLoadgenRouting:
 
         Checks zero drops, and that once the gateway holds the full map
         its STATS fold equals the offline replay of both shards' WALs.
-        Returns each shard's ``serve.*`` counters.
+        Returns each shard's ``serve.*`` snapshot.
         """
 
         async def scenario(servers, smap):
@@ -510,15 +514,15 @@ class TestLoadgenRouting:
                     stats = await session.stats()
             finally:
                 await gateway.stop()
-            counters = {shard_id: server.metrics.snapshot()["counters"]
-                        for shard_id, server in servers.items()}
-            return result, counters, stats
+            snapshots = {shard_id: server.metrics.snapshot()
+                         for shard_id, server in servers.items()}
+            return result, snapshots, stats
 
-        (result, counters, stats), wals = shard_pair_scenario(scenario, tmp)
+        (result, snapshots, stats), wals = shard_pair_scenario(scenario, tmp)
         assert result.reports_dropped == 0
         assert result.sessions_failed == 0
         assert result.reports_acked == result.reports_sent == 48
-        assert counters["shard-a"].get("serve.redirects", 0) > 0
+        assert snapshots["shard-a"]["counters"].get("serve.redirects", 0) > 0
         assert len(wals["shard-a"]) + len(wals["shard-b"]) == 48
         assert wals["shard-b"]
         with open(os.path.join(tmp, MANIFEST_NAME), "w") as fh:
@@ -529,16 +533,26 @@ class TestLoadgenRouting:
         aggregated, _ = replay_cluster(tmp)
         assert stats["shards_reachable"] == 2
         assert stats["coordinator"] == aggregated
-        return counters
+        return snapshots
 
     def test_follows_redirects_from_a_stale_gateway_map(self, tmp_path):
-        counters = self.run_stale_map(str(tmp_path), batch_size=4)
-        assert any(c.get("serve.report_batches") for c in counters.values())
+        snapshots = self.run_stale_map(str(tmp_path), batch_size=4)
+        assert any(s["counters"].get("serve.report_batches")
+                   for s in snapshots.values())
 
-    def test_one_report_sends_are_report_frames(self, tmp_path):
-        counters = self.run_stale_map(str(tmp_path), batch_size=1)
-        for shard_counters in counters.values():
-            assert shard_counters.get("serve.report_batches", 0) == 0
+    def test_one_report_sends_are_batches_of_one(self, tmp_path):
+        snapshots = self.run_stale_map(str(tmp_path), batch_size=1)
+        frames = 0
+        for snapshot in snapshots.values():
+            counters = snapshot["counters"]
+            sizes = snapshot["histograms"]["serve.report_batch_size"]
+            #: One frame per received report, every frame of size 1.
+            assert counters["serve.report_batches"] == sizes["count"] \
+                == counters["serve.reports_received"]
+            assert sizes["max"] == 1.0
+            frames += counters["serve.report_batches"]
+        #: Redirected frames are not received: each report once.
+        assert frames == 48
 
     def test_empty_map_waits_before_every_retry_round(self):
         """Every shard down: each round refetches after the delay."""

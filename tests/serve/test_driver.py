@@ -8,8 +8,15 @@ from repro.clients.protocol import MeasurementReport, MeasurementType
 from repro.geo.coords import GeoPoint
 from repro.radio.technology import NetworkId
 from repro.serve.driver import ServedClient, ServeSession
+from repro.serve.loadgen import synthetic_report
 from repro.serve.server import CoordinatorServer, ServeConfig
-from repro.serve.wire import WireError
+from repro.serve.wire import (
+    PROTOCOL_VERSION,
+    ProtocolError,
+    WireError,
+    encode_frame,
+    read_frame,
+)
 
 
 class _StubDevice:
@@ -61,6 +68,36 @@ def with_server(scenario, **config_overrides):
     return asyncio.run(body())
 
 
+def with_stub_server(replies, scenario):
+    """Run ``scenario(port)`` against a one-session stub server.
+
+    The stub welcomes the client, answers its first frame with
+    ``replies`` verbatim, and closes once the next frame (the client's
+    BYE) arrives.
+    """
+
+    async def handle(reader, writer):
+        await read_frame(reader)
+        writer.write(encode_frame({"type": "WELCOME", "session_id": 1,
+                                   "v": PROTOCOL_VERSION, "codec": "json"}))
+        await read_frame(reader)
+        for reply in replies:
+            writer.write(encode_frame(reply))
+        await writer.drain()
+        await read_frame(reader)
+        writer.close()
+
+    async def body():
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        try:
+            return await scenario(server.sockets[0].getsockname()[1])
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    return asyncio.run(body())
+
+
 class TestServeSession:
     def test_context_manager_handshake(self):
         async def scenario(server):
@@ -92,8 +129,6 @@ class TestServeSession:
         frame with RETRY: the first send plus ``max_retries`` resends,
         each rejecting all of its reports.
         """
-        from repro.serve.loadgen import synthetic_report
-
         reports = [synthetic_report(0, i) for i in range(n_reports)]
 
         async def scenario(server):
@@ -114,9 +149,11 @@ class TestServeSession:
                 server._ingest_pending = 0
             assert server.metrics.counter_value(
                 "serve.backpressure_rejections") == 3 * n_reports
-            #: One report goes out as REPORT, more as REPORT_BATCH.
-            assert server.metrics.counter_value(
-                "serve.report_batches") == (3 if n_reports > 1 else 0)
+            #: Every send is one REPORT_BATCH: 1 + max_retries frames.
+            assert server.metrics.counter_value("serve.report_batches") == 3
+            sizes = server.metrics.histogram("serve.report_batch_size")
+            assert (sizes.total, sizes.min, sizes.max) == (
+                3, n_reports, n_reports)
 
         with_server(scenario, ingest_queue_max=1, retry_after_s=0.01)
 
@@ -126,10 +163,9 @@ class TestServeSession:
     def test_send_report_batch_retry_budget(self):
         self.check_retry_budget(3)
 
-    def test_retry_tail_of_one_is_resent_as_a_report(self):
+    def test_retry_tail_of_one_is_resent_as_a_batch_of_one(self):
         """A 3-report batch over a budget of 2: the RETRY tail is one
-        report, which goes back as a REPORT frame and settles."""
-        from repro.serve.loadgen import synthetic_report
+        report, which goes back as a REPORT_BATCH of one and settles."""
 
         async def scenario(server):
             async with ServeSession("127.0.0.1", server.port,
@@ -141,14 +177,47 @@ class TestServeSession:
             assert summary["accepted"] == 3
             assert summary["rejected"] == 0
             assert summary["_retries"] >= 1
-            assert summary["_batches"] == 1
-            assert server.metrics.counter_value("serve.report_batches") == 1
+            #: The first frame plus one frame per resend.
+            assert server.metrics.counter_value(
+                "serve.report_batches") == summary["_retries"] + 1
+            sizes = server.metrics.histogram("serve.report_batch_size")
+            assert (sizes.max, sizes.min) == (3.0, 1.0)
             assert server.metrics.counter_value(
                 "serve.backpressure_rejections") == summary["_retries"]
             assert server.metrics.counter_value(
                 "serve.reports_ingested") == 3
 
         with_server(scenario, ingest_queue_max=2, retry_after_s=0.01)
+
+    def check_bad_reply(self, replies, match):
+        """A reply that settles no unsettled slice is a ProtocolError."""
+
+        async def scenario(port):
+            async with ServeSession("127.0.0.1", port, client_id="s-1",
+                                    networks=["NetA"]) as session:
+                with pytest.raises(ProtocolError, match=match):
+                    await asyncio.wait_for(session.send_report_batch(
+                        [synthetic_report(0, i) for i in range(2)]
+                    ), timeout=5.0)
+
+        with_stub_server(replies, scenario)
+
+    def test_reply_without_a_range_is_a_protocol_error(self):
+        self.check_bad_reply([{"type": "ACK_BATCH", "accepted": 2}],
+                             "without an integer seq_lo")
+
+    @pytest.mark.parametrize("replies", [
+        #: Past the frame's end.
+        [{"type": "RETRY", "seq_lo": 2, "seq_hi": 2}],
+        #: The already settled head, named twice.
+        [{"type": "ACK_BATCH", "seq_lo": 0, "seq_hi": 0, "accepted": 1},
+         {"type": "ACK_BATCH", "seq_lo": 0, "seq_hi": 0, "accepted": 1}],
+        #: An empty range.
+        [{"type": "ACK_BATCH", "seq_lo": 1, "seq_hi": 0, "accepted": 0}],
+    ])
+    def test_reply_outside_the_unsettled_frame_is_a_protocol_error(
+            self, replies):
+        self.check_bad_reply(replies, "not an unsettled part of frame 0..1")
 
 
 class TestServedClient:
@@ -178,9 +247,9 @@ class TestServedClient:
             stats = await client.run(n_polls=10)
             assert stats.reports_sent == 10
             assert stats.reports_acked == stats.reports_sent
-            assert stats.batches_sent == 3
             assert len(stats.ack_latencies_s) == 10
             #: Two full buffers of 4, then the last 2 at session end.
+            assert server.metrics.counter_value("serve.report_batches") == 3
             sizes = server.metrics.histogram("serve.report_batch_size")
             assert (sizes.total, sizes.sum) == (3, 10.0)
             assert (sizes.min, sizes.max) == (2.0, 4.0)

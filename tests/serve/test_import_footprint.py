@@ -321,14 +321,17 @@ def test_serve_run_loads_only_its_command_group(tmp_path):
 
 
 async def _serve_traffic(port):
-    """A binary REPORT_BATCH, JSON REPORTs and a STATS; the STATS reply."""
+    """A binary 8-report frame, three JSON one-report frames and a STATS.
+
+    Returns the STATS reply.
+    """
     network = synthetic_report(0, 0)["network"]
     async with ServeSession("127.0.0.1", port, "footprint-bin", [network],
                             codecs=["binary"]) as session:
         assert session.codec == "binary"
         batch = [synthetic_report(0, seq) for seq in range(8)]
         summary = await session.send_report_batch(batch)
-        assert summary["_batches"] == 1
+        assert summary["_retries"] == 0
     async with ServeSession("127.0.0.1", port, "footprint-json",
                             [network]) as session:
         assert session.codec == "json"
@@ -363,6 +366,8 @@ def test_served_coordinator_loads_no_openssl(tmp_path):
     assert out["rc"] == 0
     ingested = stats["coordinator"]["counters"]["coordinator.reports_ingested"]
     assert ingested == 11
+    #: One binary frame of 8, then three JSON frames of one.
+    assert stats["serve"]["counters"]["serve.report_batches"] == 4
     assert [name for name in OPENSSL if name in loaded] == []
     assert out["openssl_libs"] == []
     assert [name for name in HEAVY if name in loaded] == []

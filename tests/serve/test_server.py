@@ -30,6 +30,20 @@ async def send(writer, message):
     await writer.drain()
 
 
+async def send_report(writer, payload, seq_lo=0):
+    """Frame one report the only way the protocol allows: a batch of one."""
+    await send(writer, {"type": "REPORT_BATCH", "seq_lo": seq_lo,
+                        "reports": [payload]})
+
+
+def ack_of(seq_lo, accepted=True, wal_seq=None):
+    """The exact ACK_BATCH answering ``send_report(..., seq_lo)``."""
+    return {"type": "ACK_BATCH", "seq_lo": seq_lo, "seq_hi": seq_lo,
+            "wal_seq_lo": wal_seq, "wal_seq_hi": wal_seq,
+            "accepted": 1 if accepted else 0,
+            "rejected_seqs": [] if accepted else [seq_lo]}
+
+
 async def connect(server):
     return await asyncio.open_connection("127.0.0.1", server.port)
 
@@ -89,6 +103,25 @@ class TestHandshake:
 
         serve_scenario(scenario)
 
+    def test_version_1_hello_is_refused_at_hello(self):
+        """A client of the REPORT/ACK protocol is refused before any
+        report frame, with the typed error, not mid-session."""
+        async def scenario(server):
+            reader, writer = await connect(server)
+            await send(writer, {"type": "HELLO", "v": 1,
+                                "client_id": "c-1", "networks": ["NetA"]})
+            error = await read_frame(reader)
+            assert error["type"] == "ERROR"
+            assert error["code"] == "version-mismatch"
+            assert "v1" in error["detail"]
+            assert await read_frame(reader) is None
+            assert server.sessions_active == 0
+            assert server.metrics.counter(
+                "serve.error.version-mismatch").value == 1
+
+        assert PROTOCOL_VERSION == 2
+        serve_scenario(scenario)
+
     def test_hello_without_client_id(self):
         async def scenario(server):
             reader, writer = await connect(server)
@@ -144,10 +177,30 @@ class TestProtocolEdges:
     def test_server_to_client_type_rejected(self):
         async def scenario(server):
             reader, writer = await handshake(server)
-            await send(writer, {"type": "ACK", "seq": 1})
+            await send(writer, {"type": "ACK_BATCH", "seq_lo": 0,
+                                "seq_hi": 0})
             error = await read_frame(reader)
             assert error["type"] == "ERROR"
             assert error["code"] == "bad-frame"
+            assert "not valid client->server" in error["detail"]
+
+        serve_scenario(scenario)
+
+    def test_report_frame_is_a_typed_error(self):
+        """REPORT left the protocol with version 1: an unknown type."""
+        async def scenario(server):
+            reader, writer = await handshake(server)
+            await send(writer, {"type": "REPORT",
+                                "report": synthetic_report(0, 0)})
+            error = await read_frame(reader)
+            assert error["type"] == "ERROR"
+            assert error["code"] == "bad-frame"
+            assert "unknown frame type 'REPORT'" in error["detail"]
+            assert await read_frame(reader) is None
+            assert server.metrics.counter(
+                "serve.protocol_errors").value == 1
+            assert server.metrics.counter(
+                "serve.reports_received").value == 0
 
         serve_scenario(scenario)
 
@@ -192,8 +245,7 @@ class TestProtocolEdges:
     def test_malformed_report_payload(self):
         async def scenario(server):
             reader, writer = await handshake(server)
-            await send(writer, {"type": "REPORT",
-                                "report": {"task_id": "x"}})
+            await send_report(writer, {"task_id": "x"})
             error = await read_frame(reader)
             assert error["type"] == "ERROR"
             assert error["code"] == "bad-frame"
@@ -204,7 +256,7 @@ class TestProtocolEdges:
         async def scenario(server):
             reader, writer = await handshake(server)
             payload = dict(synthetic_report(0, 0), value=10 ** 400)
-            await send(writer, {"type": "REPORT", "report": payload})
+            await send_report(writer, payload)
             error = await read_frame(reader)
             assert error["type"] == "ERROR"
             assert error["code"] == "bad-frame"
@@ -223,7 +275,7 @@ class TestProtocolEdges:
             for n, task_id in enumerate((10 ** 30, -2 ** 63 - 1)):
                 reader, writer = await handshake(server, f"c-{n}")
                 payload = dict(synthetic_report(0, 0), task_id=task_id)
-                await send(writer, {"type": "REPORT", "report": payload})
+                await send_report(writer, payload)
                 error = await read_frame(reader)
                 assert error["type"] == "ERROR"
                 assert error["code"] == "bad-frame"
@@ -233,10 +285,8 @@ class TestProtocolEdges:
             reader, writer = await handshake(server, "c-bounds")
             for seq, task_id in enumerate((2 ** 63 - 1, -2 ** 63)):
                 payload = dict(synthetic_report(0, seq), task_id=task_id)
-                await send(writer, {"type": "REPORT", "report": payload})
-                ack = await read_frame(reader)
-                assert ack["type"] == "ACK" and ack["accepted"] is True
-                assert ack["task_id"] == task_id
+                await send_report(writer, payload, seq)
+                assert await read_frame(reader) == ack_of(seq)
             writer.close()
             assert server.metrics.counter(
                 "serve.protocol_errors").value == 2
@@ -272,12 +322,10 @@ class TestSessionTraffic:
     def test_report_acked_and_ingested(self):
         async def scenario(server):
             reader, writer = await handshake(server)
-            payload = synthetic_report(0, 0)
-            await send(writer, {"type": "REPORT", "report": payload})
+            await send_report(writer, synthetic_report(0, 0))
             ack = await read_frame(reader)
-            #: The exact wire reply: no WAL here, so no sequence number.
-            assert ack == {"type": "ACK", "task_id": payload["task_id"],
-                           "seq": None, "accepted": True}
+            #: The exact wire reply: no WAL here, so no sequence numbers.
+            assert ack == ack_of(0)
             assert server.metrics.counter("serve.reports_ingested").value == 1
             writer.close()
 
@@ -296,10 +344,8 @@ class TestSessionTraffic:
         async def scenario(server):
             reader, writer = await handshake(server)
             for seq in range(3):
-                await send(writer, {"type": "REPORT",
-                                    "report": synthetic_report(0, seq)})
-                ack = await read_frame(reader)
-                assert ack["type"] == "ACK" and ack["accepted"] is True
+                await send_report(writer, synthetic_report(0, seq), seq)
+                assert await read_frame(reader) == ack_of(seq)
             writer.close()
 
         serve_scenario(scenario)
@@ -313,10 +359,9 @@ class TestSessionTraffic:
             payload["value"] = 1e12  # far beyond max plausible throughput
             payload["samples"] = []
             reader, writer = await handshake(server)
-            await send(writer, {"type": "REPORT", "report": payload})
+            await send_report(writer, payload)
             ack = await read_frame(reader)
-            assert ack["type"] == "ACK"
-            assert ack["accepted"] is False
+            assert ack == ack_of(0, accepted=False)
             assert server.metrics.counter("serve.reports_rejected").value == 1
             writer.close()
 
@@ -332,10 +377,10 @@ class TestSessionTraffic:
                 pass
             reader, writer = await handshake(server)
             first, second = synthetic_report(0, 0), synthetic_report(0, 1)
-            await send(writer, {"type": "REPORT", "report": first})
-            await send(writer, {"type": "REPORT", "report": second})
+            await send_report(writer, first, 0)
+            await send_report(writer, second, 1)
             retry = await read_frame(reader)
-            assert retry == {"type": "RETRY", "task_id": second["task_id"],
+            assert retry == {"type": "RETRY", "seq_lo": 1, "seq_hi": 1,
                              "retry_after_s": server.config.retry_after_s}
             assert server.metrics.counter(
                 "serve.backpressure_rejections").value == 1
@@ -343,9 +388,7 @@ class TestSessionTraffic:
             server._ingest_task = asyncio.ensure_future(
                 server._ingest_worker()
             )
-            ack = await read_frame(reader)
-            assert ack == {"type": "ACK", "task_id": first["task_id"],
-                           "seq": None, "accepted": True}
+            assert await read_frame(reader) == ack_of(0)
             writer.close()
 
         serve_scenario(scenario, ingest_queue_max=1)
@@ -442,10 +485,12 @@ class TestWalRecovery:
             await server.start()
             try:
                 reader, writer = await handshake(server)
-                for payload in reports:
-                    await send(writer, {"type": "REPORT", "report": payload})
+                for seq, payload in enumerate(reports):
+                    await send_report(writer, payload, seq)
                     ack = await read_frame(reader)
-                    assert ack["type"] == "ACK"
+                    #: ACKed only once appended: the ACK names the record.
+                    assert ack == ack_of(
+                        seq, wal_seq=server.wal.records_logged - 1)
                 writer.close()
                 return server.coordinator.metrics.to_json()
             finally:

@@ -27,7 +27,9 @@ from repro.serve.wire import (
     decode_payload,
     encode_frame,
     read_frame,
+    reply_ids,
     report_from_wire,
+    report_payloads,
     report_to_wire,
     task_from_wire,
     task_to_wire,
@@ -59,8 +61,8 @@ class TestFraming:
 
     def test_canonical_payload_bytes(self):
         # Key order in the dict must not affect the bytes on the wire.
-        a = encode_frame({"type": "ACK", "seq": 1, "task_id": 2})
-        b = encode_frame({"task_id": 2, "seq": 1, "type": "ACK"})
+        a = encode_frame({"type": "ACK_BATCH", "seq_lo": 1, "seq_hi": 2})
+        b = encode_frame({"seq_hi": 2, "seq_lo": 1, "type": "ACK_BATCH"})
         assert a == b
 
     def test_clean_eof_between_frames_is_none(self):
@@ -121,11 +123,35 @@ class TestFraming:
             assert exc.code == code
 
     def test_frame_types_cover_protocol(self):
-        for kind in ("HELLO", "WELCOME", "POLL", "TASK", "REPORT", "ACK",
-                     "RETRY", "PING", "PONG", "STATS", "STATS_REPLY",
-                     "ERROR", "BYE"):
+        for kind in ("HELLO", "WELCOME", "POLL", "TASK", "REPORT_BATCH",
+                     "ACK_BATCH", "RETRY", "PING", "PONG", "STATS",
+                     "STATS_REPLY", "ERROR", "BYE"):
             assert kind in FRAME_TYPES
-        assert PROTOCOL_VERSION == 1
+        #: One report frame pair: REPORT and ACK left with version 1.
+        assert "REPORT" not in FRAME_TYPES and "ACK" not in FRAME_TYPES
+        assert len(FRAME_TYPES) == 16
+        assert PROTOCOL_VERSION == 2
+
+
+class TestReportFrames:
+    def test_a_batch_of_one_has_an_integer_seq_lo(self):
+        message = {"type": "REPORT_BATCH", "seq_lo": "3",
+                   "reports": [{"task_id": 1}]}
+        assert report_payloads(message) == ([{"task_id": 1}], 3)
+
+    @pytest.mark.parametrize("message", [
+        {"type": "REPORT", "report": {"task_id": 1}},
+        {"type": "REPORT_BATCH", "reports": [{"task_id": 1}]},
+        {"type": "REPORT_BATCH", "seq_lo": 0, "reports": []},
+        {"type": "REPORT_BATCH", "seq_lo": 0, "reports": [3]},
+    ])
+    def test_malformed_report_frames_raise(self, message):
+        with pytest.raises(ProtocolError, match="REPORT_BATCH"):
+            report_payloads(message)
+
+    def test_reply_ids_name_a_range(self):
+        assert reply_ids(1, 7) == {"seq_lo": 7, "seq_hi": 7}
+        assert reply_ids(5, 7, offset=3) == {"seq_lo": 10, "seq_hi": 11}
 
 
 class TestTaskCodec:

@@ -248,7 +248,7 @@ class TestFailedWalImport:
 class TestImportAcrossCodecs:
     """One loadgen stream over either codec stores the same rows.
 
-    The server logs decoded wire dicts, so a json session (one REPORT a
+    The server logs decoded wire dicts, so a json session (one report a
     frame) and a binary session (struct-packed REPORT_BATCHes, the other
     sample decode path) write the same WAL bytes, and ``store import``
     of either WAL gives the same ``logical_dump``.

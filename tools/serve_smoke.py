@@ -24,9 +24,8 @@ Run from the repo root::
                                                [--cluster]
 
 ``--codec``/``--batch-size`` select the wire shape the loadgen drives
-(defaults are the PR-5 exchange: JSON, one report per frame); CI runs
-the smoke once per codec so the kill/restart recovery story is proven
-for both.
+(defaults: JSON, one report per REPORT_BATCH frame); CI runs the smoke
+once per codec so the kill/restart recovery story is proven for both.
 
 ``--cluster`` runs the sharded variant instead: a 3-shard cluster
 behind a gateway, one shard SIGKILLed mid-run.  The assertions shift to

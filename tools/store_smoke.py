@@ -12,9 +12,10 @@ and asserts the two promises the store subsystem makes:
 * **replay identity** — ``repro serve replay --store`` (ingest the WAL,
   answer from the rollup tables) prints a JSON snapshot byte-identical
   to the in-memory metrics-registry replay of the same WAL.  It is
-  checked once per session codec: a json session (one REPORT a frame)
-  and a binary one (struct-packed REPORT_BATCHes) decode samples on
-  different paths before the WAL logs them;
+  checked once per session codec: a json session (one report a
+  REPORT_BATCH) and a binary one (struct-packed 10-report
+  REPORT_BATCHes) decode samples on different paths before the WAL
+  logs them;
 * **report identity** — ``repro obs report --format json`` pointed at
   the store prints bytes identical to the same command pointed at the
   telemetry directory the run was imported from — and still does after
@@ -42,8 +43,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 CLIENTS = 20
 REPORTS_PER_CLIENT = 10
 START_TIMEOUT_S = 30.0
-#: Each codec's loadgen shape: json sends one REPORT a frame, binary
-#: packs REPORT_BATCHes.
+#: Each codec's loadgen shape: json sends one report a frame, binary
+#: packs ten.
 CODECS = (("json", 1), ("binary", 10))
 
 
